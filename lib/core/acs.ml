@@ -211,9 +211,19 @@ module Make (V : Value.PAYLOAD) = struct
   let is_terminal (Accepted _) = true
   let on_timeout = Protocol.no_timeout
 
+  (* One shared literal per constructor, so the engine's label memo hits
+     on physical equality. *)
   let msg_label = function
-    | Prop { event; _ } -> "prop." ^ Prbc.event_label event
-    | Ba { wire; _ } -> "ba." ^ Rbc_mux.wire_label wire
+    | Prop { event; _ } -> (
+      match event with
+      | Prbc.Initial _ -> "prop.initial"
+      | Prbc.Echo _ -> "prop.echo"
+      | Prbc.Ready _ -> "prop.ready")
+    | Ba { wire; _ } -> (
+      match wire.Rbc_mux.event with
+      | Rbc_mux.Rbc.Initial _ -> "ba.initial"
+      | Rbc_mux.Rbc.Echo _ -> "ba.echo"
+      | Rbc_mux.Rbc.Ready _ -> "ba.ready")
 
   let msg_bytes =
     let open Protocol.Wire_size in

@@ -27,7 +27,11 @@ module Make (V : Value.PAYLOAD) : sig
       (** the common subset, sorted by node id — identical at every
           honest node *)
 
-  type msg
+  type msg =
+    | Prop of { origin : Node_id.t; event : Rbc_core.Make(V).event }
+        (** Bracha RBC of [origin]'s proposal *)
+    | Ba of { index : int; wire : Rbc_mux.wire }
+        (** agreement on whether proposal [index] is in the subset *)
 
   include
     Protocol.S

@@ -78,10 +78,10 @@ let start ?(sink = Event.null_sink) t ~rng ~input =
 
 let on_wire ?(sink = Event.null_sink) t ~rng ~src wire =
   let mux, outgoing, delivery = Rbc_mux.handle ~sink t.mux ~src wire in
-  let t = { t with mux } in
   match delivery with
-  | None -> (t, outgoing, [])
+  | None -> ((if mux == t.mux then t else { t with mux }), outgoing, [])
   | Some (key, payload) ->
+    let t = { t with mux } in
     let vmsg = Consensus_msg.vmsg_of_delivery key payload in
     let validation, validated = Validation.submit t.validation vmsg in
     let t = { t with validation } in

@@ -51,7 +51,8 @@ val on_wire :
     validated.  Returns outgoing wire broadcasts and the decision event
     (at most once per instance).  [?sink] observes both the RBC
     instances' quorum events (scoped by instance key) and the core's
-    round/coin/decide events. *)
+    round/coin/decide events.  A wire that changes no RBC instance
+    returns [t] itself (physically). *)
 
 val decided : t -> Decision.t option
 (** The decision, once taken. *)

@@ -21,6 +21,13 @@ type state = {
   bas : Ba_instance.t Int_map.t; (* one BA per proposer index *)
   decisions : Value.t Int_map.t; (* BA results *)
   emitted : bool;
+  (* Counts maintained alongside the maps so [settle] never walks them:
+     BAs given an input, delivered batches whose BA has none yet, BAs
+     decided, and BAs decided 1. *)
+  started : int;
+  awaiting : int;
+  decided : int;
+  ones : int;
 }
 
 let name = "batch-acs"
@@ -67,6 +74,20 @@ let prop_ctx (ctx : Protocol.Context.t) origin =
     }
   else ctx
 
+let record_events state index events =
+  List.fold_left
+    (fun state (Ba_instance.Decided d) ->
+      if Int_map.mem index state.decisions then state
+      else
+        let value = d.Decision.value in
+        {
+          state with
+          decisions = Int_map.add index value state.decisions;
+          decided = state.decided + 1;
+          ones = (if Value.equal value Value.One then state.ones + 1 else state.ones);
+        })
+    state events
+
 (* Start [BA index] with [input], folding any immediate events back
    into the state.  No-op when already started. *)
 let start_ba state ~rng ~sink index input =
@@ -76,43 +97,38 @@ let start_ba state ~rng ~sink index input =
     let instance, wires, events =
       Ba_instance.start ~sink:(ba_sink sink index) instance ~rng ~input
     in
-    let state = { state with bas = Int_map.add index instance state.bas } in
-    let state =
-      List.fold_left
-        (fun state (Ba_instance.Decided d) ->
-          if Int_map.mem index state.decisions then state
-          else
-            { state with decisions = Int_map.add index d.Decision.value state.decisions })
-        state events
+    let awaiting =
+      if Node_id.Map.mem (Node_id.of_int index) state.proposals then
+        state.awaiting - 1
+      else state.awaiting
     in
-    (state, wrap_ba index wires)
+    let state =
+      {
+        state with
+        bas = Int_map.add index instance state.bas;
+        started = state.started + 1;
+        awaiting;
+      }
+    in
+    (record_events state index events, wrap_ba index wires)
   end
-
-let record_events state index events =
-  List.fold_left
-    (fun state (Ba_instance.Decided d) ->
-      if Int_map.mem index state.decisions then state
-      else { state with decisions = Int_map.add index d.Decision.value state.decisions })
-    state events
-
-let ones_decided state =
-  Int_map.fold
-    (fun _ v acc -> if Value.equal v Value.One then acc + 1 else acc)
-    state.decisions 0
 
 (* Apply the ACS rules to fixpoint: vote 1 for delivered batches, vote
    0 everywhere once n-f instances accepted, emit when all instances
    are decided and the accepted batches have arrived.  Identical to
    {!Acs.settle} — the agreement logic is independent of how batches
-   are disseminated. *)
+   are disseminated.  The maintained counts guard each rule, so a
+   call that fires nothing costs O(1). *)
 let rec settle state ~rng ~sink actions =
   (* Rule 1: batches that arrived but whose BA has no input yet. *)
   let pending_one =
-    Node_id.Map.fold
-      (fun origin _ acc ->
-        let index = Node_id.to_int origin in
-        if Ba_instance.started (ba state index) then acc else index :: acc)
-      state.proposals []
+    if state.awaiting = 0 then []
+    else
+      Node_id.Map.fold
+        (fun origin _ acc ->
+          let index = Node_id.to_int origin in
+          if Ba_instance.started (ba state index) then acc else index :: acc)
+        state.proposals []
   in
   match pending_one with
   | index :: _ ->
@@ -120,15 +136,15 @@ let rec settle state ~rng ~sink actions =
     settle state ~rng ~sink (actions @ new_actions)
   | [] ->
     (* Rule 2: enough instances accepted — refuse the rest. *)
-    let unstarted =
-      List.filter
-        (fun i -> not (Ba_instance.started (ba state i)))
-        (List.init state.n (fun i -> i))
-    in
     if
-      ones_decided state >= Quorum.completeness ~n:state.n ~f:state.f
-      && (match unstarted with [] -> false | _ :: _ -> true)
+      state.ones >= Quorum.completeness ~n:state.n ~f:state.f
+      && state.started < state.n
     then begin
+      let unstarted =
+        List.filter
+          (fun i -> not (Ba_instance.started (ba state i)))
+          (List.init state.n (fun i -> i))
+      in
       let state, new_actions =
         List.fold_left
           (fun (state, acc) index ->
@@ -141,7 +157,7 @@ let rec settle state ~rng ~sink actions =
     else begin
       (* Rule 3: emit once everything is decided and every accepted
          batch has been delivered (RBC totality guarantees it will). *)
-      if state.emitted || Int_map.cardinal state.decisions < state.n then
+      if state.emitted || state.decided < state.n then
         (state, actions, [])
       else begin
         let accepted_indices =
@@ -205,10 +221,19 @@ let initial ctx (input : input) =
       bas;
       decisions = Int_map.empty;
       emitted = false;
+      started = 0;
+      awaiting = 0;
+      decided = 0;
+      ones = 0;
     }
   in
   (state, actions)
 
+(* Every handler returns a settled state, and [settle]'s rules read
+   only the proposals, the BA starts and the decisions.  So a delivery
+   that moves none of them skips [settle], and one that changes no
+   instance hands [state] back physically for the caller to skip its
+   own copy too. *)
 let on_message ctx state ~src msg =
   let rng = ctx.Protocol.Context.rng in
   let sink = ctx.Protocol.Context.sink in
@@ -216,39 +241,69 @@ let on_message ctx state ~src msg =
   | Prop { origin; inner } -> (
     match Node_id.Map.find_opt origin state.prop_instances with
     | None -> (state, [], []) (* origin out of range: forged wrapper *)
-    | Some inst ->
-      let inst, inst_actions, delivered =
+    | Some inst -> (
+      let inst', inst_actions, delivered =
         Coded_rbc.on_message (prop_ctx ctx origin) inst ~src inner
       in
       let state =
-        { state with prop_instances = Node_id.Map.add origin inst state.prop_instances }
+        if inst' == inst then state
+        else
+          { state with prop_instances = Node_id.Map.add origin inst' state.prop_instances }
+      in
+      let actions = wrap_prop origin inst_actions in
+      match delivered with
+      | [] -> (state, actions, [])
+      | _ :: _ ->
+        let state =
+          List.fold_left
+            (fun state (Coded_rbc.Delivered payload) ->
+              if Node_id.Map.mem origin state.proposals then state
+              else
+                let awaiting =
+                  if Ba_instance.started (ba state (Node_id.to_int origin)) then
+                    state.awaiting
+                  else state.awaiting + 1
+                in
+                {
+                  state with
+                  proposals = Node_id.Map.add origin payload state.proposals;
+                  awaiting;
+                })
+            state delivered
+        in
+        settle state ~rng ~sink actions))
+  | Ba { index; wire } -> (
+    if index < 0 || index >= state.n then (state, [], [])
+    else
+      let instance = ba state index in
+      let instance', wires, events =
+        Ba_instance.on_wire ~sink:(ba_sink sink index) instance ~rng ~src wire
       in
       let state =
-        List.fold_left
-          (fun state (Coded_rbc.Delivered payload) ->
-            if Node_id.Map.mem origin state.proposals then state
-            else { state with proposals = Node_id.Map.add origin payload state.proposals })
-          state delivered
+        if instance' == instance then state
+        else { state with bas = Int_map.add index instance' state.bas }
       in
-      settle state ~rng ~sink (wrap_prop origin inst_actions))
-  | Ba { index; wire } ->
-    if index < 0 || index >= state.n then (state, [], [])
-    else begin
-      let instance, wires, events =
-        Ba_instance.on_wire ~sink:(ba_sink sink index) (ba state index) ~rng ~src
-          wire
-      in
-      let state = { state with bas = Int_map.add index instance state.bas } in
-      let state = record_events state index events in
-      settle state ~rng ~sink (wrap_ba index wires)
-    end
+      let actions = wrap_ba index wires in
+      match events with
+      | [] -> (state, actions, [])
+      | _ :: _ -> settle (record_events state index events) ~rng ~sink actions)
 
 let is_terminal (Accepted _) = true
 let on_timeout = Protocol.no_timeout
 
+(* One shared literal per constructor, so the engine's label memo hits
+   on physical equality. *)
 let msg_label = function
-  | Prop { inner; _ } -> "prop." ^ Coded_rbc.msg_label inner
-  | Ba { wire; _ } -> "ba." ^ Rbc_mux.wire_label wire
+  | Prop { inner; _ } -> (
+    match inner with
+    | Coded_rbc.Val _ -> "prop.val"
+    | Coded_rbc.Echo _ -> "prop.echo"
+    | Coded_rbc.Ready _ -> "prop.ready")
+  | Ba { wire; _ } -> (
+    match wire.Rbc_mux.event with
+    | Rbc_mux.Rbc.Initial _ -> "ba.initial"
+    | Rbc_mux.Rbc.Echo _ -> "ba.echo"
+    | Rbc_mux.Rbc.Ready _ -> "ba.ready")
 
 let msg_bytes =
   let open Protocol.Wire_size in

@@ -31,7 +31,11 @@ type output = Accepted of (Node_id.t * string) list
     (** the common subset of batches, sorted by proposer id —
         identical at every honest node *)
 
-type msg
+type msg =
+  | Prop of { origin : Node_id.t; inner : Coded_rbc.msg }
+      (** dissemination of [origin]'s batch *)
+  | Ba of { index : int; wire : Rbc_mux.wire }
+      (** agreement on whether batch [index] is in the subset *)
 
 include
   Protocol.S

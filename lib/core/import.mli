@@ -3,6 +3,7 @@
     [Abc_net.]-qualified paths. *)
 
 module Node_id = Abc_net.Node_id
+module Node_bitset = Abc_net.Node_bitset
 module Protocol = Abc_net.Protocol
 module Behaviour = Abc_net.Behaviour
 module Adversary = Abc_net.Adversary

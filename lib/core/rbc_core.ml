@@ -15,8 +15,8 @@ module Make (V : Value.PAYLOAD) = struct
     echoed : bool;
     readied : bool;
     delivered : V.t option;
-    echoes : (int * Node_id.Set.t) Value_map.t;
-    readies : (int * Node_id.Set.t) Value_map.t;
+    echoes : (int * Node_bitset.t) Value_map.t;
+    readies : (int * Node_bitset.t) Value_map.t;
   }
 
   let create ~n ~f ~sender =
@@ -48,27 +48,27 @@ module Make (V : Value.PAYLOAD) = struct
   let deliver_threshold ~f = Quorum.ready_deliver ~f
 
   (* Each per-value entry carries its cardinality so quorum checks are
-     a map lookup plus an int read — never a set walk (the set itself
+     a map lookup plus an int read — never a set walk (the bitset itself
      is kept only for sender deduplication). *)
   let support map v =
     match Value_map.find_opt v map with
     | Some (count, _) -> count
     | None -> 0
 
-  let note map v src =
+  (* [map] itself (physically) when [src] already counted for [v]. *)
+  let note ~n map v src =
     match Value_map.find_opt v map with
     | Some (count, nodes) ->
-      if Node_id.Set.mem src nodes then map
-      else Value_map.add v (count + 1, Node_id.Set.add src nodes) map
-    | None -> Value_map.add v (1, Node_id.Set.singleton src) map
+      if Node_bitset.mem nodes src then map
+      else Value_map.add v (count + 1, Node_bitset.add nodes src) map
+    | None -> Value_map.add v (1, Node_bitset.singleton ~n src) map
 
   (* After any counter moves, fire whichever of the two send rules and
      the delivery rule have newly become enabled.  Each rule fires at
      most once per instance, guarded by the [echoed] / [readied] /
      [delivered] latches. *)
   let progress ~(sink : Event.sink) t v =
-    let sends = ref [] in
-    let t =
+    let t, sends =
       if
         (not t.readied)
         && (support t.echoes v >= echo_threshold ~n:t.n ~f:t.f
@@ -95,10 +95,9 @@ module Make (V : Value.PAYLOAD) = struct
                       threshold = ready_amplify_threshold ~f:t.f;
                     }))
         end;
-        sends := Ready v :: !sends;
-        { t with readied = true }
+        ({ t with readied = true }, [ Ready v ])
       end
-      else t
+      else (t, [])
     in
     let t, delivery =
       if t.delivered = None && support t.readies v >= deliver_threshold ~f:t.f
@@ -116,7 +115,7 @@ module Make (V : Value.PAYLOAD) = struct
       end
       else (t, None)
     in
-    (t, List.rev !sends, delivery)
+    (t, sends, delivery)
 
   let handle ?(sink = Event.null_sink) t ~src event =
     match event with
@@ -129,12 +128,23 @@ module Make (V : Value.PAYLOAD) = struct
         if t.echoed then (t, [], None)
         else ({ t with echoed = true }, [ Echo v ], None)
       end
+    (* A delivery that cannot fire a rule hands [t] back physically, so
+       every caller up the stack can skip its own copy.  Echoes are read
+       only by the ready rule, which the [readied] latch closes; once
+       [delivered] is set [readied] is too, so a Ready has nothing left
+       to fire; a duplicate sender moves no count. *)
     | Echo v ->
-      let t = { t with echoes = note t.echoes v src } in
-      progress ~sink t v
+      if t.readied then (t, [], None)
+      else
+        let echoes = note ~n:t.n t.echoes v src in
+        if echoes == t.echoes then (t, [], None)
+        else progress ~sink { t with echoes } v
     | Ready v ->
-      let t = { t with readies = note t.readies v src } in
-      progress ~sink t v
+      if Option.is_some t.delivered then (t, [], None)
+      else
+        let readies = note ~n:t.n t.readies v src in
+        if readies == t.readies then (t, [], None)
+        else progress ~sink { t with readies } v
 
   let pp_event ppf = function
     | Initial v -> Fmt.pf ppf "initial(%a)" V.pp v

@@ -41,7 +41,10 @@ module Make (V : Value.PAYLOAD) : sig
       broadcast to every node, and [Some v] the first time the payload
       is delivered.  Duplicate events from the same source are
       deduplicated by the per-value sender sets; [Initial] events from
-      any node other than the designated sender are ignored.
+      any node other than the designated sender are ignored.  A
+      delivery that can fire no rule — a duplicate, an [Echo] after
+      this node readied, a [Ready] after it delivered — returns [t]
+      itself (physically), with no events and [None].
 
       [?sink] (default {!Event.null_sink}) receives one
       {!Event.kind.Quorum} event each time a threshold rule fires:

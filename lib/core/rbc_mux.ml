@@ -8,11 +8,6 @@ let create ~n ~f = { n; f; live = Consensus_msg.Key.Map.empty }
 
 let broadcast_own key payload = { key; event = Rbc.Initial payload }
 
-let instance t (key : Consensus_msg.Key.t) =
-  match Consensus_msg.Key.Map.find_opt key t.live with
-  | Some inst -> inst
-  | None -> Rbc.create ~n:t.n ~f:t.f ~sender:key.origin
-
 let handle ?(sink = Abc_sim.Event.null_sink) t ~src wire =
   (* Scope emitted events by the instance key; the label is only built
      when a consumer is attached. *)
@@ -22,9 +17,23 @@ let handle ?(sink = Abc_sim.Event.null_sink) t ~src wire =
         ~instance:(Fmt.str "%a" Consensus_msg.Key.pp wire.key)
     else sink
   in
-  let inst = instance t wire.key in
-  let inst, events, delivered = Rbc.handle ~sink inst ~src wire.event in
-  let t = { t with live = Consensus_msg.Key.Map.add wire.key inst t.live } in
+  let t, events, delivered =
+    match Consensus_msg.Key.Map.find_opt wire.key t.live with
+    | Some inst ->
+      let inst', events, delivered = Rbc.handle ~sink inst ~src wire.event in
+      (* An instance handed back unchanged leaves the mux unchanged. *)
+      if inst' == inst then (t, events, delivered)
+      else
+        ( { t with live = Consensus_msg.Key.Map.add wire.key inst' t.live },
+          events,
+          delivered )
+    | None ->
+      let inst = Rbc.create ~n:t.n ~f:t.f ~sender:wire.key.origin in
+      let inst, events, delivered = Rbc.handle ~sink inst ~src wire.event in
+      ( { t with live = Consensus_msg.Key.Map.add wire.key inst t.live },
+        events,
+        delivered )
+  in
   let outgoing = List.map (fun event -> { key = wire.key; event }) events in
   let delivery = Option.map (fun payload -> (wire.key, payload)) delivered in
   (t, outgoing, delivery)

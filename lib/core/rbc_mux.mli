@@ -38,7 +38,8 @@ val handle :
     new state, wire messages to broadcast (echoes/readies of the same
     instance), and the instance's delivery when it completes.  Quorum
     events from the instance flow to [?sink], scoped by the rendered
-    instance key. *)
+    instance key.  When the delivery changes no instance (see
+    {!Rbc_core.Make.handle}), the returned state is [t] itself. *)
 
 val instances : t -> int
 (** Number of live instances (for resource accounting/tests). *)

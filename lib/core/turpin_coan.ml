@@ -183,10 +183,14 @@ module Make (V : Value.PAYLOAD) = struct
   let is_terminal (_ : output) = true
   let on_timeout = Protocol.no_timeout
 
+  (* One shared literal per constructor, so the engine's label memo hits
+     on physical equality. *)
   let msg_label = function
     | Step1 _ -> "step1"
     | Step2 _ -> "step2"
-    | Ba wire -> "ba." ^ Rbc_mux.wire_label wire
+    | Ba { Rbc_mux.event = Rbc_mux.Rbc.Initial _; _ } -> "ba.initial"
+    | Ba { Rbc_mux.event = Rbc_mux.Rbc.Echo _; _ } -> "ba.echo"
+    | Ba { Rbc_mux.event = Rbc_mux.Rbc.Ready _; _ } -> "ba.ready"
 
   let msg_bytes =
     let open Protocol.Wire_size in

@@ -133,9 +133,11 @@ module Make (P : Protocol.S) = struct
     let m_node_recovered = Abc_sim.Metrics.handle metrics "node.recovered" in
     (* Per-label counter handles ("sent.<label>", "bytes.sent.<label>",
        "bytes.delivered.<label>"), interned on first sight of the
-       label.  Protocols return their labels as shared literals, so the
-       physical-equality memo hits on nearly every message and the
-       fallback table is touched only on label changes. *)
+       label.  Protocols return one shared literal per message
+       constructor (composed protocols included: no label is built
+       with [^] per message), so the physical-equality memo hits
+       whenever consecutive messages share a constructor, and the
+       string-hashed table is consulted only when the label changes. *)
     let module Str_tbl = Hashtbl.Make (struct
       type t = string
 
@@ -389,7 +391,9 @@ module Make (P : Protocol.S) = struct
       in
       match action with
       | Protocol.Broadcast payload ->
-        List.iter (fun dst -> dispatch dst payload) (Node_id.all ~n:cfg.n)
+        for dst = 0 to cfg.n - 1 do
+          dispatch (Node_id.of_int dst) payload
+        done
       | Protocol.Send (dst, payload) -> dispatch dst payload
       | Protocol.Set_timer { id; after } ->
         let now = Abc_sim.Clock.now clock in

@@ -672,28 +672,35 @@ let on_message ctx state ~src msg =
       let state, open_actions = open_epoch ctx state epoch in
       match Int_map.find_opt epoch state.instances with
       | None -> (state, open_actions, [])
-      | Some inner_state ->
-        let inner_state, inner_actions, inner_outputs =
+      | Some inner_state -> (
+        let inner_state', inner_actions, inner_outputs =
           Abc.Batch_acs.on_message (epoch_ctx ctx epoch) inner_state ~src inner
         in
         let state =
-          { state with instances = Int_map.add epoch inner_state state.instances }
+          if inner_state' == inner_state then state
+          else
+            { state with instances = Int_map.add epoch inner_state' state.instances }
         in
-        let state =
-          List.fold_left
-            (fun state (Abc.Batch_acs.Accepted subset) ->
-              if Int_map.mem epoch state.results then state
-              else { state with results = Int_map.add epoch subset state.results })
-            state inner_outputs
-        in
-        let state, drain_actions, outputs = drain_commits ctx state in
-        let state = collect_garbage state in
-        (* Committing an epoch slides the pipeline window forward. *)
-        let state, window_actions = open_window ctx state in
-        ( state,
-          open_actions @ wrap epoch inner_actions @ drain_actions
-          @ window_actions,
-          outputs )
+        let actions = open_actions @ wrap epoch inner_actions in
+        match inner_outputs with
+        | [] ->
+          (* Every handler leaves the state drained, garbage-collected and
+             windowed, and only a new epoch result can move any of the
+             three: without one there is nothing left to do. *)
+          (state, actions, [])
+        | _ :: _ ->
+          let state =
+            List.fold_left
+              (fun state (Abc.Batch_acs.Accepted subset) ->
+                if Int_map.mem epoch state.results then state
+                else { state with results = Int_map.add epoch subset state.results })
+              state inner_outputs
+          in
+          let state, drain_actions, outputs = drain_commits ctx state in
+          let state = collect_garbage state in
+          (* Committing an epoch slides the pipeline window forward. *)
+          let state, window_actions = open_window ctx state in
+          (state, actions @ drain_actions @ window_actions, outputs))
     end
   | Checkpoint { epoch; len; digest } ->
     let state, actions = record_checkpoint ctx state ~voter:src (epoch, len, digest) in
@@ -864,8 +871,19 @@ let restore ctx (input : input) ~durable =
 (* Wire metadata / pretty-printing                                   *)
 (* ----------------------------------------------------------------- *)
 
+(* One shared literal per constructor, so the engine's label memo hits
+   on physical equality. *)
 let msg_label = function
-  | Epoch { inner; _ } -> "epoch." ^ Abc.Batch_acs.msg_label inner
+  | Epoch { inner = Abc.Batch_acs.Prop { inner; _ }; _ } -> (
+    match inner with
+    | Abc.Coded_rbc.Val _ -> "epoch.prop.val"
+    | Abc.Coded_rbc.Echo _ -> "epoch.prop.echo"
+    | Abc.Coded_rbc.Ready _ -> "epoch.prop.ready")
+  | Epoch { inner = Abc.Batch_acs.Ba { wire; _ }; _ } -> (
+    match wire.Abc.Rbc_mux.event with
+    | Abc.Rbc_mux.Rbc.Initial _ -> "epoch.ba.initial"
+    | Abc.Rbc_mux.Rbc.Echo _ -> "epoch.ba.echo"
+    | Abc.Rbc_mux.Rbc.Ready _ -> "epoch.ba.ready")
   | Checkpoint _ -> "checkpoint"
   | Transfer_req _ -> "transfer.req"
   | Transfer_resp _ -> "transfer.resp"

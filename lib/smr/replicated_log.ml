@@ -5,6 +5,7 @@ module Int_map = Map.Make (Int)
 
 (* Each slot runs one ACS over string proposals. *)
 module Slot_acs = Abc.Acs.Make (Abc.Payloads.String_payload)
+module Slot_rbc = Abc.Rbc_core.Make (Abc.Payloads.String_payload)
 
 type command = string
 
@@ -144,7 +145,20 @@ let on_message ctx state ~src msg =
 let is_terminal = function Log_complete _ -> true | Committed _ -> false
 let on_timeout = Protocol.no_timeout
 
-let msg_label (Slot { inner; _ }) = "slot." ^ Slot_acs.msg_label inner
+(* One shared literal per constructor, so the engine's label memo hits
+   on physical equality. *)
+let msg_label (Slot { inner; _ }) =
+  match inner with
+  | Slot_acs.Prop { event; _ } -> (
+    match event with
+    | Slot_rbc.Initial _ -> "slot.prop.initial"
+    | Slot_rbc.Echo _ -> "slot.prop.echo"
+    | Slot_rbc.Ready _ -> "slot.prop.ready")
+  | Slot_acs.Ba { wire; _ } -> (
+    match wire.Abc.Rbc_mux.event with
+    | Abc.Rbc_mux.Rbc.Initial _ -> "slot.ba.initial"
+    | Abc.Rbc_mux.Rbc.Echo _ -> "slot.ba.echo"
+    | Abc.Rbc_mux.Rbc.Ready _ -> "slot.ba.ready")
 
 let msg_bytes (Slot { slot = _; inner }) =
   Protocol.Wire_size.int + Slot_acs.msg_bytes inner

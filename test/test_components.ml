@@ -263,6 +263,161 @@ let test_ba_start_idempotent () =
   Alcotest.(check bool) "first start broadcasts" true (List.length wires1 > 0);
   Alcotest.(check int) "second start is a no-op" 0 (List.length wires2)
 
+(* ---- Rbc_core: deliveries that change nothing ---- *)
+
+module R = Abc.Rbc_core.Make (Abc.Payloads.Int_payload)
+
+let feed t events =
+  List.fold_left
+    (fun t (src, event) ->
+      let t, _, _ = R.handle t ~src:(node src) event in
+      t)
+    t events
+
+(* A delivery that can fire no rule must hand the state back
+   physically, so every layer above can skip its own copy. *)
+let check_unchanged what t (t', events, delivered) =
+  Alcotest.(check bool) (what ^ ": same state") true (t' == t);
+  Alcotest.(check int) (what ^ ": no events") 0 (List.length events);
+  Alcotest.(check bool) (what ^ ": no delivery") true (Option.is_none delivered)
+
+let test_rbc_late_echo () =
+  let t = feed (R.create ~n:4 ~f:1 ~sender:(node 0)) [ (0, R.Echo 7); (1, R.Echo 7); (2, R.Echo 7) ] in
+  Alcotest.(check bool) "readied on 3 echoes" true (R.readied t);
+  check_unchanged "late echo" t (R.handle t ~src:(node 3) (R.Echo 7));
+  check_unchanged "late echo, other value" t (R.handle t ~src:(node 3) (R.Echo 8))
+
+let test_rbc_late_ready () =
+  let t = feed (R.create ~n:4 ~f:1 ~sender:(node 0)) [ (0, R.Ready 7); (1, R.Ready 7); (2, R.Ready 7) ] in
+  Alcotest.(check (option int)) "delivered on 3 readies" (Some 7) (R.delivered t);
+  check_unchanged "late ready" t (R.handle t ~src:(node 3) (R.Ready 7))
+
+let test_rbc_duplicate_sender () =
+  let t = feed (R.create ~n:4 ~f:1 ~sender:(node 0)) [ (1, R.Echo 7); (1, R.Ready 7) ] in
+  check_unchanged "duplicate echo" t (R.handle t ~src:(node 1) (R.Echo 7));
+  check_unchanged "duplicate ready" t (R.handle t ~src:(node 1) (R.Ready 7));
+  let t', _, _ = R.handle t ~src:(node 2) (R.Echo 7) in
+  Alcotest.(check bool) "a new sender still counts" false (t' == t)
+
+(* Readies from every sender, highest id first and each twice: the
+   repeat must change nothing, and delivery must happen exactly at the
+   (2f+1)-th distinct sender, across byte boundaries of the sender
+   bitset and for node n-1. *)
+let test_rbc_bitset_dedup () =
+  List.iter
+    (fun n ->
+      let f = (n - 1) / 3 in
+      let rec go t distinct id =
+        if id >= 0 then begin
+          let t, _, delivered = R.handle t ~src:(node id) (R.Ready 1) in
+          let distinct = distinct + 1 in
+          Alcotest.(check bool)
+            (Printf.sprintf "n=%d: delivers at sender %d iff 2f+1 distinct" n id)
+            (Int.equal distinct (R.deliver_threshold ~f))
+            (Option.is_some delivered);
+          check_unchanged
+            (Printf.sprintf "n=%d: repeat of sender %d" n id)
+            t
+            (R.handle t ~src:(node id) (R.Ready 1));
+          go t distinct (id - 1)
+        end
+      in
+      go (R.create ~n ~f ~sender:(node 0)) 0 (n - 1))
+    [ 4; 9; 64; 256 ]
+
+let test_node_bitset () =
+  let module B = Abc_net.Node_bitset in
+  List.iter
+    (fun n ->
+      let members = List.sort_uniq Int.compare [ 0; min 7 (n - 1); min 8 (n - 1); n - 1 ] in
+      let set = List.fold_left (fun set i -> B.add set (node i)) (B.empty ~n) members in
+      for i = 0 to n - 1 do
+        Alcotest.(check bool)
+          (Printf.sprintf "n=%d: mem %d" n i)
+          (List.exists (Int.equal i) members)
+          (B.mem set (node i))
+      done;
+      List.iter
+        (fun i ->
+          Alcotest.(check bool) (Printf.sprintf "n=%d: re-add %d" n i) true
+            (B.add set (node i) == set))
+        members;
+      let empty = B.empty ~n in
+      let one = B.add empty (node (n - 1)) in
+      Alcotest.(check bool) (Printf.sprintf "n=%d: add leaves its argument" n) false
+        (B.mem empty (node (n - 1)));
+      Alcotest.(check bool) (Printf.sprintf "n=%d: singleton" n) true
+        (B.mem (B.singleton ~n (node (n - 1))) (node (n - 1)) && B.mem one (node (n - 1))))
+    [ 4; 9; 64; 256 ]
+
+(* ---- Batch_acs: a late agreement wire ---- *)
+
+module Bacs = Abc.Batch_acs
+
+let test_batch_acs_late_ba_wire () =
+  let ctx = Capture.context ~n:4 ~f:1 0 in
+  let state, _ = Bacs.initial ctx { Bacs.proposal = "batch"; coin = Coin.local } in
+  (* An echo in BA 2's reliable broadcast of node 1's first vote. *)
+  let echo = Bacs.Ba { index = 2; wire = { Mux.key = key ~origin:1 (); event = Mux.Rbc.Echo (payload ()) } } in
+  let deliver state src =
+    let state, _, _ = Bacs.on_message ctx state ~src:(node src) echo in
+    state
+  in
+  let state = deliver state 0 in
+  let state', actions, outputs = Bacs.on_message ctx state ~src:(node 0) echo in
+  Alcotest.(check bool) "duplicate: same state" true (state' == state);
+  Alcotest.(check int) "duplicate: no actions" 0 (List.length actions + List.length outputs);
+  let state = List.fold_left deliver state [ 1; 2 ] in
+  let state', actions, outputs = Bacs.on_message ctx state ~src:(node 3) echo in
+  Alcotest.(check bool) "late echo: same state" true (state' == state);
+  Alcotest.(check int) "late echo: no actions" 0 (List.length actions + List.length outputs)
+
+(* ---- msg_label: one shared literal per constructor ---- *)
+
+(* Each protocol runs to completion under [Capture]; see
+   [Capture.Make.check_labels]. *)
+module Cap_bacs = Capture.Make (Bacs)
+module Cap_acs = Capture.Make (Abc.Acs.Make (Abc.Payloads.Int_payload))
+module Cap_tc = Capture.Make (Abc.Turpin_coan.Make (Abc.Payloads.Int_payload))
+
+let test_batch_acs_labels () =
+  let module E = Abc_net.Engine.Make (Cap_bacs) in
+  Cap_bacs.reset ();
+  let inputs = Bacs.inputs ~n:4 ~coin:Coin.local [| "a"; "bb"; "ccc"; "dddd" |] in
+  ignore (E.run (E.config ~n:4 ~f:1 ~inputs ~seed:5 ()));
+  Cap_bacs.check_labels ~name:"batch-acs"
+    ~old:(function
+      | Bacs.Prop { inner; _ } -> "prop." ^ Abc.Coded_rbc.msg_label inner
+      | Bacs.Ba { wire; _ } -> "ba." ^ Mux.wire_label wire)
+    ~expected:[ "prop.val"; "prop.echo"; "prop.ready"; "ba.initial"; "ba.echo"; "ba.ready" ]
+    ()
+
+let test_acs_labels () =
+  let module A = Abc.Acs.Make (Abc.Payloads.Int_payload) in
+  let module E = Abc_net.Engine.Make (Cap_acs) in
+  Cap_acs.reset ();
+  let inputs = A.inputs ~n:4 ~coin:Coin.local [| 1; 2; 3; 4 |] in
+  ignore (E.run (E.config ~n:4 ~f:1 ~inputs ~seed:5 ()));
+  Cap_acs.check_labels ~name:"acs"
+    ~old:(function
+      | A.Prop { event; _ } -> "prop." ^ R.event_label event
+      | A.Ba { wire; _ } -> "ba." ^ Mux.wire_label wire)
+    ~expected:[ "prop.initial"; "prop.echo"; "prop.ready"; "ba.initial"; "ba.echo"; "ba.ready" ]
+    ()
+
+let test_turpin_coan_labels () =
+  let module TC = Abc.Turpin_coan.Make (Abc.Payloads.Int_payload) in
+  let module E = Abc_net.Engine.Make (Cap_tc) in
+  Cap_tc.reset ();
+  let inputs = TC.inputs ~n:5 ~coin:Coin.local [| 1; 1; 1; 2; 3 |] in
+  ignore (E.run (E.config ~n:5 ~f:1 ~inputs ~seed:5 ()));
+  (* The message type is abstract: the old labels were "step1",
+     "step2" and "ba." ^ the RBC event label, so the expected
+     vocabulary pins them. *)
+  Cap_tc.check_labels ~name:"turpin-coan"
+    ~expected:[ "step1"; "step2"; "ba.initial"; "ba.echo"; "ba.ready" ]
+    ()
+
 (* ---- Payloads ---- *)
 
 let test_payloads () =
@@ -320,6 +475,23 @@ let () =
           Alcotest.test_case "mixed agreement" `Quick test_ba_mixed_agreement;
           Alcotest.test_case "buffers before start" `Quick test_ba_buffers_before_start;
           Alcotest.test_case "start idempotent" `Quick test_ba_start_idempotent;
+        ] );
+      ( "rbc_core",
+        [
+          Alcotest.test_case "late echo changes nothing" `Quick test_rbc_late_echo;
+          Alcotest.test_case "late ready changes nothing" `Quick test_rbc_late_ready;
+          Alcotest.test_case "duplicate sender changes nothing" `Quick
+            test_rbc_duplicate_sender;
+          Alcotest.test_case "bitset sender dedup" `Quick test_rbc_bitset_dedup;
+          Alcotest.test_case "node bitset" `Quick test_node_bitset;
+        ] );
+      ( "batch_acs",
+        [ Alcotest.test_case "late ba wire changes nothing" `Quick test_batch_acs_late_ba_wire ] );
+      ( "msg_label",
+        [
+          Alcotest.test_case "batch-acs" `Quick test_batch_acs_labels;
+          Alcotest.test_case "acs" `Quick test_acs_labels;
+          Alcotest.test_case "turpin-coan" `Quick test_turpin_coan_labels;
         ] );
       ("payloads", [ Alcotest.test_case "basics" `Quick test_payloads ]);
       ("decision", [ Alcotest.test_case "basics" `Quick test_decision ]);

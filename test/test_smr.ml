@@ -415,6 +415,81 @@ let test_atomic_recovery_deterministic () =
     (List.concat (atomic_logs r1 [ node 0 ]))
     (List.concat (atomic_logs r2 [ node 0 ]))
 
+(* ---- deliveries that change nothing; one label literal per constructor ---- *)
+
+module Cap_atomic = Capture.Make (Atomic)
+module Cap_log = Capture.Make (Log)
+
+(* The message types are abstract: the old labels prefixed the inner
+   protocol's label, which the expected vocabulary pins. *)
+let test_atomic_labels () =
+  (* The recovery scenario: checkpoints, plus a rejoining replica's
+     state transfer, on top of the epoch traffic. *)
+  let module EC = Abc_net.Engine.Make (Cap_atomic) in
+  Cap_atomic.reset ();
+  let n = 4 and epochs = 6 and batch_size = 3 and seed = 31 in
+  let inputs =
+    Atomic.inputs ~n ~checkpoint_interval:2 ~batch_size ~epochs
+      ~coin_seed:((seed * 1000) + 17)
+      (mempools ~n ~count:(batch_size * epochs) ~seed)
+  in
+  let faulty = [ (node 2, Behaviour.Crash_recover [ (800, 9000) ]) ] in
+  let recovery = { EC.snapshot = Atomic.snapshot; restore = Atomic.restore } in
+  ignore (EC.run (EC.config ~faulty ~n ~f:1 ~inputs ~seed ~recovery ()));
+  Cap_atomic.check_labels ~name:"atomic"
+    ~expected:
+      [
+        "epoch.prop.val"; "epoch.prop.echo"; "epoch.prop.ready"; "epoch.ba.initial";
+        "epoch.ba.echo"; "epoch.ba.ready"; "checkpoint"; "transfer.req"; "transfer.resp";
+      ]
+    ()
+
+let test_log_labels () =
+  let module EC = Abc_net.Engine.Make (Cap_log) in
+  Cap_log.reset ();
+  let inputs = Log.inputs ~n:4 ~slots:2 ~coin:Abc.Coin.local command in
+  ignore (EC.run (EC.config ~n:4 ~f:1 ~inputs ~seed:3 ()));
+  Cap_log.check_labels ~name:"replicated-log"
+    ~expected:
+      [
+        "slot.prop.initial"; "slot.prop.echo"; "slot.prop.ready"; "slot.ba.initial";
+        "slot.ba.echo"; "slot.ba.ready";
+      ]
+    ()
+
+(* Re-delivering agreement traffic a replica has already received — a
+   duplicate, or an echo/ready its RBC instance no longer needs — must
+   hand back the replica's state physically, through every layer. *)
+let test_atomic_late_ba_wire () =
+  let module EC = Abc_net.Engine.Make (Cap_atomic) in
+  Cap_atomic.reset ();
+  let n = 4 and epochs = 2 and batch_size = 4 and seed = 41 in
+  let inputs =
+    Atomic.inputs ~n ~batch_size ~epochs ~coin_seed:((seed * 1000) + 17)
+      (mempools ~n ~count:(batch_size * epochs) ~seed)
+  in
+  let result = EC.run (EC.config ~n ~f:1 ~inputs ~seed ()) in
+  Alcotest.(check string) "all terminal" "all-terminal"
+    (Fmt.str "%a" Abc_net.Engine.pp_stop_reason result.EC.stop);
+  let me = node 0 in
+  let state = Cap_atomic.state_of me in
+  let ctx = Capture.context ~n ~f:1 0 in
+  let late =
+    List.filter
+      (fun (dst, _, msg) ->
+        Node_id.equal dst me
+        && List.exists (String.equal (Atomic.msg_label msg)) [ "epoch.ba.echo"; "epoch.ba.ready" ])
+      !Cap_atomic.received
+  in
+  Alcotest.(check bool) "agreement traffic received" true (List.length late > 100);
+  List.iter
+    (fun (_, src, msg) ->
+      let state', actions, outputs = Atomic.on_message ctx state ~src msg in
+      Alcotest.(check bool) "same state" true (state' == state);
+      Alcotest.(check int) "no actions" 0 (List.length actions);
+      Alcotest.(check int) "no outputs" 0 (List.length outputs))
+    late
+
 let test_batch_codec_roundtrip () =
   let roundtrip txs =
     Alcotest.(check (option (list string)))
@@ -547,6 +622,7 @@ let () =
           Alcotest.test_case "lying replica tolerated" `Quick
             test_lying_replica_logs_still_agree;
           Alcotest.test_case "single slot" `Quick test_single_slot;
+          Alcotest.test_case "labels: one literal per constructor" `Quick test_log_labels;
           Alcotest.test_case "larger cluster" `Slow test_larger_cluster;
         ] );
       ( "atomic broadcast",
@@ -570,6 +646,10 @@ let () =
             test_atomic_double_crash_before_stable;
           Alcotest.test_case "recovery: deterministic" `Quick
             test_atomic_recovery_deterministic;
+          Alcotest.test_case "late ba wire changes nothing" `Quick
+            test_atomic_late_ba_wire;
+          Alcotest.test_case "labels: one literal per constructor" `Quick
+            test_atomic_labels;
           Alcotest.test_case "batch codec roundtrip" `Quick test_batch_codec_roundtrip;
           Alcotest.test_case "workload deterministic" `Quick
             test_workload_deterministic;
