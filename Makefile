@@ -58,6 +58,10 @@ golden:
 	  --trace-out _build/recovery_trace.jsonl
 	dune exec bin/abc_trace.exe -- summary _build/recovery_trace.jsonl \
 	  > test/golden/recovery_summary.txt
+	dune exec bin/abc_run.exe -- smr -n 4 -f 1 --seed 9 \
+	  --trace-out _build/rlog_trace.jsonl
+	dune exec bin/abc_trace.exe -- summary _build/rlog_trace.jsonl \
+	  > test/golden/rlog_summary.txt
 	dune runtest
 
 examples:

@@ -21,7 +21,7 @@ open Import
     Byzantine behaviours. *)
 
 module Make (V : Value.PAYLOAD) : sig
-  module Core : module type of Rbc_core.Make (V)
+  module Core : module type of struct include Rbc_core.Make (V) end
 
   type input = { sender : Node_id.t; payload : V.t option }
   (** [payload] is [Some v] at the designated sender, [None]

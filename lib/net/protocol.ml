@@ -39,6 +39,19 @@ end
 
 let no_timeout _ctx state ~id:_ = (state, [], [])
 
+(* Direct recursion rather than [List.map] over a [function]: the
+   wrappers run on every delivery, and this allocates no closure. *)
+let rec map_msgs f = function
+  | [] -> []
+  | action :: rest ->
+    let action =
+      match action with
+      | Broadcast msg -> Broadcast (f msg)
+      | Send (dst, msg) -> Send (dst, f msg)
+      | Set_timer _ as a -> a
+    in
+    action :: map_msgs f rest
+
 module Wire_size = struct
   let tag = 1
 

@@ -106,6 +106,14 @@ val no_timeout :
 (** Default {!S.on_timeout} for protocols that never arm timers:
     ignores the firing and changes nothing. *)
 
+val map_msgs : ('a -> 'b) -> 'a action list -> 'b action list
+(** [map_msgs f actions] rewrites the message of every [Broadcast] and
+    [Send] with [f], keeping [Send] targets, for a protocol that embeds
+    another and tags its traffic.  [Set_timer] passes through as is:
+    timer ids are node-local and are not demultiplexed, so an embedded
+    protocol that armed timers would share the host's id space.  None
+    of the embedded protocols arms one today. *)
+
 (** The shared size convention behind every {!S.msg_bytes}: a compact
     binary framing with one-byte constructor tags, four-byte integers
     (rounds, sequence numbers, node ids are all small) and

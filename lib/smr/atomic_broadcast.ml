@@ -6,6 +6,9 @@ module Event = Abc_sim.Event
 module Int_map = Map.Make (Int)
 module String_set = Set.Make (String)
 
+(* Each epoch runs one ACS over coded-RBC-disseminated batches. *)
+module Epoch_acs = Abc.Acs.Coded
+
 type tx = Workload.tx
 
 type input = {
@@ -27,7 +30,7 @@ type output =
   | Log_complete of tx list
 
 type msg =
-  | Epoch of { epoch : int; inner : Abc.Batch_acs.msg }
+  | Epoch of { epoch : int; inner : Epoch_acs.msg }
   | Checkpoint of { epoch : int; len : int; digest : int }
   | Transfer_req of { have : int }
   | Transfer_resp of {
@@ -73,7 +76,7 @@ type state = {
   cursor : int; (* next mempool index not yet proposed *)
   requeue : tx list; (* txs from excluded batches, re-propose first *)
   proposed : tx list Int_map.t; (* epoch -> my batch *)
-  instances : Abc.Batch_acs.state Int_map.t; (* live epoch agreements *)
+  instances : Epoch_acs.state Int_map.t; (* live epoch agreements *)
   results : (Node_id.t * string) list Int_map.t; (* decided epochs *)
   committed : String_set.t; (* dedup set over the whole log *)
   log : tx list; (* committed txs, newest first *)
@@ -175,18 +178,7 @@ let list_take k l =
 (* Epoch plumbing                                                    *)
 (* ----------------------------------------------------------------- *)
 
-let wrap epoch actions =
-  List.map
-    (fun action ->
-      match action with
-      | Protocol.Broadcast inner -> Protocol.Broadcast (Epoch { epoch; inner })
-      | Protocol.Send (dst, inner) -> Protocol.Send (dst, Epoch { epoch; inner })
-      | Protocol.Set_timer { id; after } ->
-        (* Epoch agreements never arm timers today; if one ever does,
-           the id must be epoch-demultiplexed rather than forwarded.
-           (The catch-up timer is armed outside [wrap].) *)
-        Protocol.Set_timer { id; after })
-    actions
+let wrap epoch actions = Protocol.map_msgs (fun inner -> Epoch { epoch; inner }) actions
 
 (* Scope an epoch's observability under "epoch<e>" so overlapping
    epoch agreements stay distinguishable in traces. *)
@@ -242,12 +234,12 @@ let open_epoch ctx state epoch =
          { epoch; txs = List.length batch; bytes = String.length proposal });
     let inner_input =
       {
-        Abc.Batch_acs.proposal;
+        Epoch_acs.proposal;
         coin = Abc.Coin.common ~seed:(state.coin_seed + epoch);
       }
     in
     let inner_state, actions =
-      Abc.Batch_acs.initial (epoch_ctx ctx epoch) inner_input
+      Epoch_acs.initial (epoch_ctx ctx epoch) inner_input
     in
     let instances = Int_map.add epoch inner_state state.instances in
     ( {
@@ -674,7 +666,7 @@ let on_message ctx state ~src msg =
       | None -> (state, open_actions, [])
       | Some inner_state -> (
         let inner_state', inner_actions, inner_outputs =
-          Abc.Batch_acs.on_message (epoch_ctx ctx epoch) inner_state ~src inner
+          Epoch_acs.on_message (epoch_ctx ctx epoch) inner_state ~src inner
         in
         let state =
           if inner_state' == inner_state then state
@@ -691,7 +683,7 @@ let on_message ctx state ~src msg =
         | _ :: _ ->
           let state =
             List.fold_left
-              (fun state (Abc.Batch_acs.Accepted subset) ->
+              (fun state (Epoch_acs.Accepted subset) ->
                 if Int_map.mem epoch state.results then state
                 else { state with results = Int_map.add epoch subset state.results })
               state inner_outputs
@@ -874,12 +866,12 @@ let restore ctx (input : input) ~durable =
 (* One shared literal per constructor, so the engine's label memo hits
    on physical equality. *)
 let msg_label = function
-  | Epoch { inner = Abc.Batch_acs.Prop { inner; _ }; _ } -> (
+  | Epoch { inner = Epoch_acs.Prop { inner; _ }; _ } -> (
     match inner with
     | Abc.Coded_rbc.Val _ -> "epoch.prop.val"
     | Abc.Coded_rbc.Echo _ -> "epoch.prop.echo"
     | Abc.Coded_rbc.Ready _ -> "epoch.prop.ready")
-  | Epoch { inner = Abc.Batch_acs.Ba { wire; _ }; _ } -> (
+  | Epoch { inner = Epoch_acs.Ba { wire; _ }; _ } -> (
     match wire.Abc.Rbc_mux.event with
     | Abc.Rbc_mux.Rbc.Initial _ -> "epoch.ba.initial"
     | Abc.Rbc_mux.Rbc.Echo _ -> "epoch.ba.echo"
@@ -890,7 +882,7 @@ let msg_label = function
 
 let msg_bytes = function
   | Epoch { epoch = _; inner } ->
-    Protocol.Wire_size.int + Abc.Batch_acs.msg_bytes inner
+    Protocol.Wire_size.int + Epoch_acs.msg_bytes inner
   | Checkpoint _ -> Protocol.Wire_size.tag + (3 * Protocol.Wire_size.int)
   | Transfer_req _ -> Protocol.Wire_size.tag + Protocol.Wire_size.int
   | Transfer_resp { suffix; _ } ->
@@ -899,7 +891,7 @@ let msg_bytes = function
 
 let pp_msg ppf = function
   | Epoch { epoch; inner } ->
-    Fmt.pf ppf "epoch[%d]:%a" epoch Abc.Batch_acs.pp_msg inner
+    Fmt.pf ppf "epoch[%d]:%a" epoch Epoch_acs.pp_msg inner
   | Checkpoint { epoch; len; digest } ->
     Fmt.pf ppf "checkpoint[e%d len=%d digest=%x]" epoch len digest
   | Transfer_req { have } -> Fmt.pf ppf "transfer-req[have=%d]" have

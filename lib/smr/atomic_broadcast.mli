@@ -6,8 +6,9 @@
     {b Paper source:} HoneyBadgerBFT (Miller et al. 2016, §4): each
     epoch runs one asynchronous common subset over every node's
     transaction batch; Bracha's 1984 RBC+BA toolbox supplies the
-    agreement core ({!Abc.Batch_acs}) and the PR-5 erasure-coded RBC
-    supplies O(|batch|/n + lambda log n) per-link dissemination.
+    agreement core ({!Abc.Acs.Coded}) and the erasure-coded RBC
+    ({!Abc.Coded_rbc}) supplies O(|batch|/n + lambda log n) per-link
+    dissemination.
     Checkpoints and state transfer follow PBFT (Castro & Liskov 1999,
     §4.4): periodic log-digest votes make a prefix {e stable} at
     [2f + 1] matching votes, enabling garbage collection, and a
@@ -16,7 +17,7 @@
 
     {b Resilience:} [n > 3f].
 
-    {b Message type:} [Epoch] wraps a {!Abc.Batch_acs} message tagged
+    {b Message type:} [Epoch] wraps an {!Abc.Acs.Coded} message tagged
     with its epoch number; epochs within the pipeline window run
     concurrently, so the tag demultiplexes overlapping agreements.
     When [checkpoint_interval > 0] three recovery messages join it:

@@ -34,17 +34,7 @@ let name = "replicated-log"
 let proposal state slot =
   if slot < Array.length state.commands then state.commands.(slot) else "<noop>"
 
-let wrap slot actions =
-  List.map
-    (fun action ->
-      match action with
-      | Protocol.Broadcast inner -> Protocol.Broadcast (Slot { slot; inner })
-      | Protocol.Send (dst, inner) -> Protocol.Send (dst, Slot { slot; inner })
-      | Protocol.Set_timer { id; after } ->
-        (* Slot agreements never arm timers today; if one ever does,
-           the id must be slot-demultiplexed rather than forwarded. *)
-        Protocol.Set_timer { id; after })
-    actions
+let wrap slot actions = Protocol.map_msgs (fun inner -> Slot { slot; inner }) actions
 
 (* Scope a slot's observability under "slot<k>" so concurrent slot
    agreements stay distinguishable in traces (see OBSERVABILITY.md). *)
@@ -149,8 +139,8 @@ let on_timeout = Protocol.no_timeout
    on physical equality. *)
 let msg_label (Slot { inner; _ }) =
   match inner with
-  | Slot_acs.Prop { event; _ } -> (
-    match event with
+  | Slot_acs.Prop { inner; _ } -> (
+    match inner with
     | Slot_rbc.Initial _ -> "slot.prop.initial"
     | Slot_rbc.Echo _ -> "slot.prop.echo"
     | Slot_rbc.Ready _ -> "slot.prop.ready")

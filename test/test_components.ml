@@ -350,60 +350,110 @@ let test_node_bitset () =
         (B.mem (B.singleton ~n (node (n - 1))) (node (n - 1)) && B.mem one (node (n - 1))))
     [ 4; 9; 64; 256 ]
 
-(* ---- Batch_acs: a late agreement wire ---- *)
+(* ---- Acs: one state machine over either dissemination layer ---- *)
 
-module Bacs = Abc.Batch_acs
+module Acs_int = Abc.Acs.Make (Abc.Payloads.Int_payload)
 
-let test_batch_acs_late_ba_wire () =
+(* An instantiation under test: four proposals, the label its
+   [msg_label] must give a dissemination message (the layer's own label
+   under "prop."), and the wire vocabulary a run covers. *)
+type ('p, 'm) acs = {
+  acs : (module Abc.Acs.S with type payload = 'p and type prop = 'm);
+  proposals : 'p array;
+  prop_label : 'm -> string;
+  labels : string list;
+}
+
+let bracha =
+  {
+    acs = (module Acs_int : Abc.Acs.S with type payload = int and type prop = R.event);
+    proposals = [| 1; 2; 3; 4 |];
+    prop_label = (fun event -> "prop." ^ R.event_label event);
+    labels = [ "prop.initial"; "prop.echo"; "prop.ready"; "ba.initial"; "ba.echo"; "ba.ready" ];
+  }
+
+let coded =
+  {
+    acs =
+      (module Abc.Acs.Coded : Abc.Acs.S
+        with type payload = string
+         and type prop = Abc.Coded_rbc.msg);
+    proposals = [| "a"; "bb"; "ccc"; "dddd" |];
+    prop_label = (fun inner -> "prop." ^ Abc.Coded_rbc.msg_label inner);
+    labels = [ "prop.val"; "prop.echo"; "prop.ready"; "ba.initial"; "ba.echo"; "ba.ready" ];
+  }
+
+let check_no_effect what ~state (state', actions, outputs) =
+  Alcotest.(check bool) (what ^ ": same state") true (state' == state);
+  Alcotest.(check int) (what ^ ": no actions") 0 (List.length actions + List.length outputs)
+
+let test_acs_late_ba_wire (type p m) (i : (p, m) acs) () =
+  let module A = (val i.acs) in
   let ctx = Capture.context ~n:4 ~f:1 0 in
-  let state, _ = Bacs.initial ctx { Bacs.proposal = "batch"; coin = Coin.local } in
+  let state, _ = A.initial ctx { A.proposal = i.proposals.(0); coin = Coin.local } in
   (* An echo in BA 2's reliable broadcast of node 1's first vote. *)
-  let echo = Bacs.Ba { index = 2; wire = { Mux.key = key ~origin:1 (); event = Mux.Rbc.Echo (payload ()) } } in
+  let echo = A.Ba { index = 2; wire = { Mux.key = key ~origin:1 (); event = Mux.Rbc.Echo (payload ()) } } in
   let deliver state src =
-    let state, _, _ = Bacs.on_message ctx state ~src:(node src) echo in
+    let state, _, _ = A.on_message ctx state ~src:(node src) echo in
     state
   in
   let state = deliver state 0 in
-  let state', actions, outputs = Bacs.on_message ctx state ~src:(node 0) echo in
-  Alcotest.(check bool) "duplicate: same state" true (state' == state);
-  Alcotest.(check int) "duplicate: no actions" 0 (List.length actions + List.length outputs);
+  check_no_effect "duplicate" ~state (A.on_message ctx state ~src:(node 0) echo);
   let state = List.fold_left deliver state [ 1; 2 ] in
-  let state', actions, outputs = Bacs.on_message ctx state ~src:(node 3) echo in
-  Alcotest.(check bool) "late echo: same state" true (state' == state);
-  Alcotest.(check int) "late echo: no actions" 0 (List.length actions + List.length outputs)
+  check_no_effect "late echo" ~state (A.on_message ctx state ~src:(node 3) echo)
+
+(* Runs [A] on [proposals] to completion at n=4 under [Capture]. *)
+module Captured (A : Abc.Acs.S) (P : sig val proposals : A.payload array end) = struct
+  module C = Capture.Make (A)
+  module E = Abc_net.Engine.Make (C)
+
+  let () =
+    let inputs = A.inputs ~n:4 ~coin:Coin.local P.proposals in
+    ignore (E.run (E.config ~n:4 ~f:1 ~inputs ~seed:5 ()))
+
+  include C
+end
+
+(* Re-delivers the last proposal echo a finished node received.  Bracha
+   RBC hands an unchanged instance back physically, so the whole ACS
+   state comes back too; coded RBC re-tallies every verified echo, so
+   there only the absence of actions and outputs is checked. *)
+let test_acs_late_prop_echo (type p m) (i : (p, m) acs) ~physical () =
+  let module A = (val i.acs) in
+  let module C = Captured (A) (struct let proposals = i.proposals end) in
+  let me, src, echo =
+    List.find (fun (_, _, msg) -> String.equal (A.msg_label msg) "prop.echo") !C.received
+  in
+  let state = C.state_of me in
+  let state', actions, outputs =
+    A.on_message (Capture.context ~n:4 ~f:1 (Node_id.to_int me)) state ~src echo
+  in
+  if physical then Alcotest.(check bool) "late prop echo: same state" true (state' == state);
+  Alcotest.(check int) "late prop echo: no actions" 0 (List.length actions + List.length outputs)
+
+(* Every proposer has its instance from the start; a proposal naming
+   any other origin is forged and must leave no trace. *)
+let test_acs_forged_origin () =
+  let ctx = Capture.context ~n:4 ~f:1 0 in
+  let state, _ = Acs_int.initial ctx { Acs_int.proposal = 1; coin = Coin.local } in
+  check_no_effect "origin 9" ~state
+    (Acs_int.on_message ctx state ~src:(node 3)
+       (Acs_int.Prop { origin = node 9; inner = R.Echo 5 }))
 
 (* ---- msg_label: one shared literal per constructor ---- *)
 
 (* Each protocol runs to completion under [Capture]; see
    [Capture.Make.check_labels]. *)
-module Cap_bacs = Capture.Make (Bacs)
-module Cap_acs = Capture.Make (Abc.Acs.Make (Abc.Payloads.Int_payload))
 module Cap_tc = Capture.Make (Abc.Turpin_coan.Make (Abc.Payloads.Int_payload))
 
-let test_batch_acs_labels () =
-  let module E = Abc_net.Engine.Make (Cap_bacs) in
-  Cap_bacs.reset ();
-  let inputs = Bacs.inputs ~n:4 ~coin:Coin.local [| "a"; "bb"; "ccc"; "dddd" |] in
-  ignore (E.run (E.config ~n:4 ~f:1 ~inputs ~seed:5 ()));
-  Cap_bacs.check_labels ~name:"batch-acs"
+let test_acs_labels (type p m) (i : (p, m) acs) () =
+  let module A = (val i.acs) in
+  let module C = Captured (A) (struct let proposals = i.proposals end) in
+  C.check_labels ~name:A.name
     ~old:(function
-      | Bacs.Prop { inner; _ } -> "prop." ^ Abc.Coded_rbc.msg_label inner
-      | Bacs.Ba { wire; _ } -> "ba." ^ Mux.wire_label wire)
-    ~expected:[ "prop.val"; "prop.echo"; "prop.ready"; "ba.initial"; "ba.echo"; "ba.ready" ]
-    ()
-
-let test_acs_labels () =
-  let module A = Abc.Acs.Make (Abc.Payloads.Int_payload) in
-  let module E = Abc_net.Engine.Make (Cap_acs) in
-  Cap_acs.reset ();
-  let inputs = A.inputs ~n:4 ~coin:Coin.local [| 1; 2; 3; 4 |] in
-  ignore (E.run (E.config ~n:4 ~f:1 ~inputs ~seed:5 ()));
-  Cap_acs.check_labels ~name:"acs"
-    ~old:(function
-      | A.Prop { event; _ } -> "prop." ^ R.event_label event
+      | A.Prop { inner; _ } -> i.prop_label inner
       | A.Ba { wire; _ } -> "ba." ^ Mux.wire_label wire)
-    ~expected:[ "prop.initial"; "prop.echo"; "prop.ready"; "ba.initial"; "ba.echo"; "ba.ready" ]
-    ()
+    ~expected:i.labels ()
 
 let test_turpin_coan_labels () =
   let module TC = Abc.Turpin_coan.Make (Abc.Payloads.Int_payload) in
@@ -485,12 +535,22 @@ let () =
           Alcotest.test_case "bitset sender dedup" `Quick test_rbc_bitset_dedup;
           Alcotest.test_case "node bitset" `Quick test_node_bitset;
         ] );
-      ( "batch_acs",
-        [ Alcotest.test_case "late ba wire changes nothing" `Quick test_batch_acs_late_ba_wire ] );
+      ( "acs",
+        [
+          Alcotest.test_case "late ba wire changes nothing: bracha" `Quick
+            (test_acs_late_ba_wire bracha);
+          Alcotest.test_case "late ba wire changes nothing: coded" `Quick
+            (test_acs_late_ba_wire coded);
+          Alcotest.test_case "late prop echo: bracha" `Quick
+            (test_acs_late_prop_echo bracha ~physical:true);
+          Alcotest.test_case "late prop echo: coded" `Quick
+            (test_acs_late_prop_echo coded ~physical:false);
+          Alcotest.test_case "forged origin dropped" `Quick test_acs_forged_origin;
+        ] );
       ( "msg_label",
         [
-          Alcotest.test_case "batch-acs" `Quick test_batch_acs_labels;
-          Alcotest.test_case "acs" `Quick test_acs_labels;
+          Alcotest.test_case "batch-acs" `Quick (test_acs_labels coded);
+          Alcotest.test_case "acs" `Quick (test_acs_labels bracha);
           Alcotest.test_case "turpin-coan" `Quick test_turpin_coan_labels;
         ] );
       ("payloads", [ Alcotest.test_case "basics" `Quick test_payloads ]);

@@ -479,6 +479,37 @@ let recovery_summary () =
   | Error msg -> Alcotest.fail msg
   | Ok file -> Trace_report.summary file
 
+(* The same run the CI trace-smoke job performs through the binaries:
+   abc-run smr -n 4 -f 1 --seed 9 (defaults: 3 slots, local coin,
+   uniform adversary).  Slot agreements run the ACS over Bracha RBC, so
+   this pins that instantiation the way the atomic goldens pin the
+   coded one; the summary must match test/golden/rlog_summary.txt byte
+   for byte. *)
+let rlog_summary () =
+  let module Log = Abc_smr.Replicated_log in
+  let module E = Abc_net.Engine.Make (Log) in
+  let n = 4 and f = 1 and seed = 9 in
+  let trace = Trace.create ~capacity:1_000_000 () in
+  let config =
+    E.config ~n ~f
+      ~inputs:
+        (Log.inputs ~n ~slots:3 ~coin:Abc.Coin.local (fun i k ->
+             Printf.sprintf "cmd-%d.%d" i k))
+      ~adversary:Adversary.uniform ~seed ~trace ()
+  in
+  let _ = E.run config in
+  let meta =
+    [
+      ("protocol", Json.String "smr");
+      ("n", Json.Int n);
+      ("f", Json.Int f);
+      ("seed", Json.Int seed);
+    ]
+  in
+  match Trace_file.of_string (Trace.to_jsonl_string ~meta trace) with
+  | Error msg -> Alcotest.fail msg
+  | Ok file -> Trace_report.summary file
+
 let read_file path =
   let ic = open_in_bin path in
   Fun.protect
@@ -502,6 +533,11 @@ let test_recovery_golden_summary () =
   let golden = read_file "golden/recovery_summary.txt" in
   Alcotest.(check string) "recovery summary matches golden" golden
     (recovery_summary ())
+
+let test_rlog_golden_summary () =
+  let golden = read_file "golden/rlog_summary.txt" in
+  Alcotest.(check string) "replicated-log summary matches golden" golden
+    (rlog_summary ())
 
 (* ---- suite ---- *)
 
@@ -540,6 +576,8 @@ let () =
             test_atomic_golden_summary;
           Alcotest.test_case "recovery summary matches golden" `Quick
             test_recovery_golden_summary;
+          Alcotest.test_case "replicated-log summary matches golden" `Quick
+            test_rlog_golden_summary;
           Alcotest.test_case "summary deterministic" `Quick
             test_summary_deterministic;
         ] );
