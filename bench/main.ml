@@ -8,7 +8,10 @@
 
    The 1984 paper proves theorems rather than reporting measurements;
    each experiment operationalizes one theorem-level claim (see
-   DESIGN.md for the mapping). *)
+   DESIGN.md for the mapping).  Every configuration a matrix protocol
+   token covers runs through Abc_matrix.Runner.run_seed: E2-E6, E10
+   and E16-E19 are views over its per-seed outcomes, and E1/E14 run
+   whole specs. *)
 
 open Helpers
 
@@ -22,8 +25,6 @@ let scaled k = max 2 (int_of_float (float_of_int k *. !seeds_scale))
 
 module Rbc = Abc.Bracha_rbc.Binary
 module RbcE = Abc_net.Engine.Make (Rbc)
-module Matrix_spec = Abc_matrix.Spec
-module Matrix_runner = Abc_matrix.Runner
 
 (* E1 and E14 are driven by their committed scenario specs — the same
    files `abc-bench run` executes, so the harness and the CI bench
@@ -33,19 +34,19 @@ module Matrix_runner = Abc_matrix.Runner
    Expected verdicts play the role the inline assertions play in
    E16-E18: any cell missing its verdict aborts the harness. *)
 let matrix_spec path =
-  match Matrix_spec.load path with
+  match Spec.load path with
   | Ok spec -> spec
   | Error e -> failwith (Abc_matrix.Sexp.error_to_string e)
 
 let run_matrix_spec pool path =
   let spec = matrix_spec path in
-  let result = Matrix_runner.run ~pool spec in
-  Table.print (Matrix_runner.table result);
-  if not (Matrix_runner.passed result) then
+  let result = Runner.run ~pool spec in
+  Table.print (Runner.table result);
+  if not (Runner.passed result) then
     failwith
       (Printf.sprintf "%s: %d matrix cell(s) missed their expected verdict"
-         (Matrix_spec.id spec)
-         (List.length (Matrix_runner.failures result)));
+         (Spec.id spec)
+         (List.length (Runner.failures result)));
   print_newline ()
 
 let experiment_e1 pool = run_matrix_spec pool "bench/specs/e1.matrix"
@@ -71,17 +72,15 @@ let experiment_e2 pool =
   let cap = 400_000 in
   List.iter
     (fun f ->
-      let values = split_inputs n in
-      let bracha =
-        sample_bracha
-          ~faulty:(bracha_faults ~n ~count:f Flip)
-          ~max_deliveries:cap ~pool ~n ~f ~seeds values
+      let sample_of protocol =
+        sample pool ~seeds
+          (cell protocol ~n ~f
+             [
+               ("fault", Spec.Str (Printf.sprintf "flip:%d" f));
+               ("budget", Spec.Int cap);
+             ])
       in
-      let benor =
-        sample_benor
-          ~faulty:(benor_faults ~n ~count:f Flip)
-          ~max_deliveries:cap ~pool ~n ~f ~seeds values
-      in
+      let bracha = sample_of "bracha" and benor = sample_of "ben-or" in
       Table.add_row table
         [
           Table.cell_int f;
@@ -95,6 +94,17 @@ let experiment_e2 pool =
 (* ----------------------------------------------------------------- *)
 (* E3: rounds to decide vs n at maximum resilience (local coin)      *)
 (* ----------------------------------------------------------------- *)
+
+(* E3, E4, E6 and E10's cell: split inputs, f bit-flipping liars split
+   across the two input halves (the hardest placement we found: each
+   half hears amplified support for the other half's value), under the
+   split scheduler. *)
+let split_liars protocol ~n ~f =
+  cell protocol ~n ~f
+    [
+      ("adversary", Spec.Str "split");
+      ("fault", Spec.Str (Printf.sprintf "balanced-flip:%d" f));
+    ]
 
 let experiment_e3 pool =
   let seeds = scaled 30 in
@@ -111,12 +121,7 @@ let experiment_e3 pool =
   List.iter
     (fun n ->
       let f = bracha_max_f n in
-      let s =
-        sample_bracha
-          ~adversary:(Adversary.split ~n)
-          ~faulty:(balanced_flip_liars ~n ~count:f)
-          ~pool ~n ~f ~seeds (split_inputs n)
-      in
+      let s = sample pool ~seeds (split_liars "bracha" ~n ~f) in
       Table.add_row table
         [
           Table.cell_int n;
@@ -150,12 +155,7 @@ let experiment_e4 pool =
     (fun n ->
       let f = int_of_float (sqrt (float_of_int n)) in
       assert (n > 3 * f);
-      let s =
-        sample_bracha
-          ~adversary:(Adversary.split ~n)
-          ~faulty:(balanced_flip_liars ~n ~count:f)
-          ~pool ~n ~f ~seeds (split_inputs n)
-      in
+      let s = sample pool ~seeds (split_liars "bracha" ~n ~f) in
       Table.add_row table
         [
           Table.cell_int n;
@@ -196,10 +196,14 @@ let experiment_e5 _pool =
       let rbc_result = RbcE.run config in
       let rbc_msgs = Abc_sim.Metrics.counter rbc_result.RbcE.metrics "sent" in
       (* one consensus, unanimous so it ends in one round *)
-      let v = run_bracha ~adversary:Adversary.fifo ~n ~f ~seed:0 (unanimous n Abc.Value.One) in
+      let o =
+        Runner.run_seed
+          (cell "bracha" ~n ~f
+             [ ("adversary", Spec.Str "fifo"); ("inputs", Spec.Str "unanimous1") ])
+          ~seed:0
+      in
       let per_round =
-        float_of_int v.Abc.Harness.messages
-        /. float_of_int (max 1 v.Abc.Harness.max_round + 1)
+        float_of_int o.Runner.o_messages /. float_of_int (max 1 o.Runner.o_rounds + 1)
       in
       rbc_points := (n, float_of_int rbc_msgs) :: !rbc_points;
       cons_points := (n, per_round) :: !cons_points;
@@ -235,19 +239,18 @@ let experiment_e6 pool =
           "common p95"; "common max" ]
       ()
   in
+  let runs =
+    List.map
+      (fun n ->
+        let f = bracha_max_f n in
+        let coin protocol = outcomes pool ~seeds (split_liars protocol ~n ~f) in
+        (n, f, coin "bracha", coin "bracha-cc"))
+      [ 4; 8; 13; 16 ]
+  in
   List.iter
-    (fun n ->
-      let f = bracha_max_f n in
-      let faulty = balanced_flip_liars ~n ~count:f in
-      let adversary = Adversary.split ~n in
-      let local =
-        sample_bracha ~adversary ~faulty ~pool ~n ~f ~seeds (split_inputs n)
-      in
-      let common =
-        sample_bracha
-          ~options:(B.Options.with_common_coin ~seed:7)
-          ~adversary ~faulty ~pool ~n ~f ~seeds (split_inputs n)
-      in
+    (fun (n, f, local, common) ->
+      let local = summarize_outcomes local
+      and common = summarize_outcomes common in
       Table.add_row table
         [
           Table.cell_int n;
@@ -259,27 +262,22 @@ let experiment_e6 pool =
           Table.cell_float ~decimals:0 (p95_or common.rounds 0.);
           Table.cell_float ~decimals:0 (max_or common.rounds 0.);
         ])
-    [ 4; 8; 13; 16 ];
+    runs;
   Table.print table;
-  (* Full distributions at n=16: the tail is the story. *)
-  let n = 16 in
-  let f = bracha_max_f n in
-  let faulty = balanced_flip_liars ~n ~count:f in
-  let adversary = Adversary.split ~n in
-  let rounds options =
-    (* Runs fan out over the pool; the histogram is filled from the
-       merged seed-ordered list so buckets never depend on scheduling. *)
+  (* Full distributions at n=16: the tail is the story.  Filled from
+     the seed-ordered outcomes, so buckets never depend on scheduling. *)
+  let histogram outcomes =
     let h = Abc_sim.Histogram.create () in
-    sweep_seeds pool ~seeds (fun seed ->
-        run_bracha ~options ~adversary ~faulty ~n ~f ~seed (split_inputs n))
-    |> List.iter (fun v ->
-           if Abc.Harness.ok v then Abc_sim.Histogram.add h v.Abc.Harness.max_round);
-    h
+    List.iter
+      (fun o -> if Runner.decides o then Abc_sim.Histogram.add h o.Runner.o_rounds)
+      outcomes;
+    Abc_sim.Histogram.render h
   in
+  let _, _, local, common = List.find (fun (n, _, _, _) -> n = 16) runs in
   Printf.printf "rounds-to-decide distribution at n=16 (local coin):\n%s"
-    (Abc_sim.Histogram.render (rounds B.Options.default));
+    (histogram local);
   Printf.printf "rounds-to-decide distribution at n=16 (common coin):\n%s\n"
-    (Abc_sim.Histogram.render (rounds (B.Options.with_common_coin ~seed:7)));
+    (histogram common);
   print_newline ()
 
 (* ----------------------------------------------------------------- *)
@@ -427,15 +425,14 @@ let bechamel_tests () =
            in
            ignore (RbcE.run config)))
   in
+  let full_run name c =
+    Test.make ~name (Staged.stage (fun () -> ignore (Runner.run_seed c ~seed:1)))
+  in
   let full_consensus_run =
-    Test.make ~name:"full consensus run (n=4, f=1)"
-      (Staged.stage (fun () ->
-           ignore (run_bracha ~n:4 ~f:1 ~seed:1 (split_inputs 4))))
+    full_run "full consensus run (n=4, f=1)" (cell "bracha" ~n:4 ~f:1 [])
   in
   let full_benor_run =
-    Test.make ~name:"full ben-or run (n=6, f=1)"
-      (Staged.stage (fun () ->
-           ignore (run_benor ~n:6 ~f:1 ~seed:1 (split_inputs 6))))
+    full_run "full ben-or run (n=6, f=1)" (cell "ben-or" ~n:6 ~f:1 [])
   in
   Test.make_grouped ~name:"abc"
     [ rbc_handle; validation_submit; full_rbc_run; full_consensus_run; full_benor_run ]
@@ -475,10 +472,9 @@ module MmrH = Abc.Harness.Make (struct
   let value_of_input = Mmr.value_of_input
 end)
 
-let run_mmr ?(coin = Abc.Coin.common ~seed:7) ?(adversary = Adversary.uniform)
-    ?(faulty = []) ~n ~f ~seed values =
+let run_mmr ~coin ~n ~f ~seed values =
   let inputs = Mmr.inputs ~n ~coin values in
-  snd (MmrH.run (MmrH.E.config ~n ~f ~inputs ~faulty ~adversary ~seed ()))
+  snd (MmrH.run (MmrH.E.config ~n ~f ~inputs ~adversary:Adversary.uniform ~seed ()))
 
 let experiment_e10 pool =
   let seeds = scaled 25 in
@@ -497,22 +493,8 @@ let experiment_e10 pool =
   List.iter
     (fun n ->
       let f = bracha_max_f n in
-      let adversary = Adversary.split ~n in
-      let bracha =
-        sample_bracha ~adversary
-          ~faulty:(balanced_flip_liars ~n ~count:f)
-          ~pool ~n ~f ~seeds (split_inputs n)
-      in
-      let mmr_faulty =
-        List.init f (fun k ->
-            let id = if k mod 2 = 0 then k / 2 else n - 1 - (k / 2) in
-            (node id, Behaviour.Mutate Mmr.Fault.flip_value))
-      in
-      let mmr =
-        collect
-          (sweep_seeds pool ~seeds (fun seed ->
-               run_mmr ~adversary ~faulty:mmr_faulty ~n ~f ~seed (split_inputs n)))
-      in
+      let bracha = sample pool ~seeds (split_liars "bracha" ~n ~f) in
+      let mmr = sample pool ~seeds (split_liars "mmr" ~n ~f) in
       let ratio = mean_or bracha.messages 0. /. mean_or mmr.messages 1. in
       Table.add_row table
         [
@@ -757,20 +739,12 @@ let experiment_e13 pool =
 (* E14: lossy links — raw Bracha vs the reliable-channel transport    *)
 (* ----------------------------------------------------------------- *)
 
-module BRL = Abc_net.Reliable_link.Make (B)
-
-module BRLH = Abc.Harness.Make (struct
-  include BRL
-
-  let value_of_input = B.value_of_input
-end)
-
 (* The paper's network is reliable by assumption; this experiment
    measures what that assumption is worth.  Raw Bracha over a lossy
    network goes quiescent once a quorum message is dropped (no node
-   ever re-sends), while the same protocol behind [Reliable_link]
-   masks loss with acks and timer-driven retransmission and keeps
-   deciding — at a bounded retransmission cost.  Expressed as the
+   ever re-sends), while the same protocol behind the reliable-link
+   transport masks loss with acks and timer-driven retransmission and
+   keeps deciding — at a bounded retransmission cost.  Expressed as the
    committed scenario spec: raw cells at positive loss are annotated
    expect-fail, reliable-link cells must decide at every loss rate. *)
 let experiment_e14 pool = run_matrix_spec pool "bench/specs/e14.matrix"
@@ -789,15 +763,15 @@ let experiment_e14 pool = run_matrix_spec pool "bench/specs/e14.matrix"
    working. *)
 let experiment_e15 _pool =
   let spec = matrix_spec "bench/specs/e1.matrix" in
-  let cells = Matrix_spec.expand spec in
+  let cells = Spec.expand spec in
   let total_seeds =
     List.fold_left
-      (fun acc cell -> acc + Matrix_spec.find_int cell "seeds" ~default:10)
+      (fun acc cell -> acc + Spec.find_int cell "seeds" ~default:10)
       0 cells
   in
   let slice jobs =
     let pool = Abc_exec.Pool.create ~jobs () in
-    Table.csv (Matrix_runner.table (Matrix_runner.run ~pool spec))
+    Table.csv (Runner.table (Runner.run ~pool spec))
   in
   let table =
     Table.create ~id:"e15"
@@ -846,39 +820,6 @@ let experiment_e15 _pool =
    maximal f).  Acceptance claim asserted here: coded per-node bytes
    strictly below Bracha at every payload >= 16 KiB for every n. *)
 
-module Bracha_str = Abc.Bracha_rbc.Make (Abc.Payloads.String_payload)
-module Ir_str = Abc.Ir_rbc.Make (Abc.Payloads.String_payload)
-module BrsE = Abc_net.Engine.Make (Bracha_str)
-module CodE = Abc_net.Engine.Make (Abc.Coded_rbc)
-module IrsE = Abc_net.Engine.Make (Ir_str)
-
-let e16_payload ~bytes ~seed =
-  String.init bytes (fun i -> Char.chr ((seed + (131 * i)) land 0xFF))
-
-let e16_bracha ~n ~f ~seed payload =
-  let config =
-    BrsE.config ~n ~f
-      ~inputs:(Bracha_str.inputs ~n ~sender:(node 0) payload)
-      ~adversary:Adversary.uniform ~seed ()
-  in
-  Abc_sim.Metrics.counter (BrsE.run config).BrsE.metrics "bytes.sent"
-
-let e16_coded ~n ~f ~seed payload =
-  let config =
-    CodE.config ~n ~f
-      ~inputs:(Abc.Coded_rbc.inputs ~n ~sender:(node 0) payload)
-      ~adversary:Adversary.uniform ~seed ()
-  in
-  Abc_sim.Metrics.counter (CodE.run config).CodE.metrics "bytes.sent"
-
-let e16_ir ~n ~f ~seed payload =
-  let config =
-    IrsE.config ~n ~f
-      ~inputs:(Ir_str.inputs ~n ~sender:(node 0) payload)
-      ~adversary:Adversary.uniform ~seed ()
-  in
-  Abc_sim.Metrics.counter (IrsE.run config).IrsE.metrics "bytes.sent"
-
 let experiment_e16 pool =
   let seeds = scaled 5 in
   let table =
@@ -898,19 +839,18 @@ let experiment_e16 pool =
         (fun n ->
           let f = bracha_max_f n in
           let f_ir = benor_max_f n in
-          let runs =
-            sweep_seeds pool ~seeds (fun seed ->
-                let payload = e16_payload ~bytes ~seed in
-                ( e16_bracha ~n ~f ~seed payload,
-                  e16_coded ~n ~f ~seed payload,
-                  e16_ir ~n ~f:f_ir ~seed payload ))
+          let sent protocol ~f =
+            outcomes pool ~seeds (cell protocol ~n ~f [ ("payload", Spec.Int bytes) ])
+            |> List.map (fun o -> o.Runner.o_bytes)
           in
-          let per_node total = float_of_int total /. float_of_int (n * seeds) in
-          let bracha_b = per_node (List.fold_left (fun a (b, _, _) -> a + b) 0 runs) in
-          let coded_b = per_node (List.fold_left (fun a (_, c, _) -> a + c) 0 runs) in
-          let ir_b = per_node (List.fold_left (fun a (_, _, i) -> a + i) 0 runs) in
+          let bracha = sent "bracha-rbc" ~f and coded = sent "coded-rbc" ~f in
+          let per_node runs =
+            float_of_int (List.fold_left ( + ) 0 runs) /. float_of_int (n * seeds)
+          in
+          let bracha_b = per_node bracha and coded_b = per_node coded in
+          let ir_b = per_node (sent "ir-rbc" ~f:f_ir) in
           (* strict per-seed comparison, not just on the means *)
-          let coded_wins = List.for_all (fun (b, c, _) -> c < b) runs in
+          let coded_wins = List.for_all2 (fun b c -> c < b) bracha coded in
           if bytes >= 16384 && not coded_wins then
             failwith
               (Printf.sprintf
@@ -954,37 +894,7 @@ let experiment_e16 pool =
    plateau instead of falling — measured in the E17 notes in
    EXPERIMENTS.md. *)
 
-module Atomic = Abc_smr.Atomic_broadcast
-module AtomE = Abc_net.Engine.Make (Atomic)
-
 let e17_epochs = 2
-
-let e17_run ~n ~f ~batch ~seed =
-  let mempools =
-    Array.init n (fun i ->
-        Abc_smr.Workload.txs
-          (Abc_smr.Workload.generate ~seed ~node:(node i)
-             ~count:(batch * e17_epochs) ~rate:1.0 ~tx_bytes:64))
-  in
-  let config =
-    AtomE.config ~n ~f
-      ~inputs:
-        (Atomic.inputs ~n ~window:2 ~batch_size:batch ~epochs:e17_epochs
-           ~coin_seed:(seed + 7919) mempools)
-      ~adversary:Adversary.uniform ~seed ()
-  in
-  let result = AtomE.run config in
-  let committed =
-    match Atomic.log_of_outputs result.AtomE.outputs.(0) with
-    | Some log -> List.length log
-    | None -> 0
-  in
-  let duration = max 1 result.AtomE.duration in
-  let bytes = Abc_sim.Metrics.counter result.AtomE.metrics "bytes.sent" in
-  ( 1000. *. float_of_int committed /. float_of_int duration,
-    float_of_int bytes /. float_of_int (n * max 1 committed),
-    committed,
-    duration )
 
 let experiment_e17 pool =
   let seeds = scaled 3 in
@@ -1011,7 +921,15 @@ let experiment_e17 pool =
       let cells =
         List.map
           (fun batch ->
-            (batch, sweep_seeds pool ~seeds (fun seed -> e17_run ~n ~f ~batch ~seed)))
+            let c =
+              cell "atomic" ~n ~f
+                [
+                  ("batch", Spec.Int batch);
+                  ("epochs", Spec.Int e17_epochs);
+                  ("payload", Spec.Int 64);
+                ]
+            in
+            (batch, outcomes pool ~seeds c))
           batches
       in
       let runs_of batch = List.assoc batch cells in
@@ -1021,8 +939,14 @@ let experiment_e17 pool =
             List.fold_left (fun a r -> a +. field r) 0. runs
             /. float_of_int seeds
           in
-          let txktick (t, _, _, _) = t in
-          let per_tx (_, b, _, _) = b in
+          let ticks o = max 1 o.Runner.o_ticks in
+          let committed o = o.Runner.o_committed in
+          let txktick o =
+            1000. *. float_of_int (committed o) /. float_of_int (ticks o)
+          in
+          let per_tx o =
+            float_of_int o.Runner.o_bytes /. float_of_int (n * max 1 (committed o))
+          in
           (* guard 1: strict per-seed amortization, not just on means *)
           let amortizes =
             List.for_all2
@@ -1042,10 +966,9 @@ let experiment_e17 pool =
               Table.cell_int f;
               Table.cell_int batch;
               Table.cell_int
-                (List.fold_left (fun a (_, _, c, _) -> a + c) 0 runs / seeds);
+                (List.fold_left (fun a o -> a + committed o) 0 runs / seeds);
               Table.cell_float ~decimals:0
-                (mean (fun (_, _, _, d) ->
-                     float_of_int d /. float_of_int e17_epochs));
+                (mean (fun o -> float_of_int (ticks o) /. float_of_int e17_epochs));
               Table.cell_float (mean txktick);
               Table.cell_float ~decimals:0 (mean per_tx);
               (if amortizes then "yes" else "NO");
@@ -1085,48 +1008,37 @@ let experiment_e17 pool =
 let e18_epochs = 12
 let e18_batch = 4
 
-let e18_run ~n ~f ~interval ~crash ~seed =
-  let mempools =
-    Array.init n (fun i ->
-        Abc_smr.Workload.txs
-          (Abc_smr.Workload.generate ~seed ~node:(node i)
-             ~count:(e18_batch * e18_epochs) ~rate:0.5 ~tx_bytes:32))
-  in
-  let inputs =
-    Atomic.inputs ~n ~window:2 ~checkpoint_interval:interval
-      ~batch_size:e18_batch ~epochs:e18_epochs ~coin_seed:(seed + 7919)
-      mempools
-  in
-  let faulty =
-    List.map (fun (i, plan) -> (node i, Behaviour.Crash_recover plan)) crash
-  in
-  let recovery = { AtomE.snapshot = Atomic.snapshot; restore = Atomic.restore } in
-  let result =
-    AtomE.run
-      (AtomE.config ~n ~f ~inputs ~faulty ~adversary:Adversary.uniform ~seed
-         ~recovery ())
-  in
-  if result.AtomE.stop <> Abc_net.Engine.All_terminal then
-    failwith "E18: run did not reach all-terminal";
-  result
-
-let e18_stats result i =
-  match Atomic.stats_of_outputs result.AtomE.outputs.(i) with
-  | Some s -> s
-  | None -> failwith "E18: Gc_stats missing from outputs"
+(* One E18 seed sweep: n=4 f=1 atomic broadcast at checkpoint interval
+   [interval], with [crash] either "none" or a replica's id:down:up. *)
+let e18_runs pool ~seeds ~interval ~crash =
+  cell "atomic" ~n:4 ~f:1
+    [
+      ("batch", Spec.Int e18_batch);
+      ("epochs", Spec.Int e18_epochs);
+      ("checkpoint", Spec.Int interval);
+      ("crash", Spec.Str crash);
+      ("payload", Spec.Int 32);
+    ]
+  |> outcomes pool ~seeds
+  |> List.map (fun o ->
+         if not o.Runner.decided then failwith "E18: run did not reach all-terminal";
+         (* every replica, the recovered one included, holds one log *)
+         if not o.Runner.agreement then failwith "E18: recovered replica's log diverged";
+         match o.Runner.o_gc_stats with
+         | Some stats -> (o, stats)
+         | None -> failwith "E18: Gc_stats missing from outputs")
 
 let experiment_e18 pool =
   let seeds = scaled 3 in
-  let n = 4 and f = 1 in
   let off = e18_epochs + 1 in
   let meani field runs =
     List.fold_left (fun a r -> a +. float_of_int (field r)) 0. runs
     /. float_of_int seeds
   in
   Printf.printf
-    "E18. Crash recovery: GC bound and catch-up latency, n=%d f=%d, %d \
+    "E18. Crash recovery: GC bound and catch-up latency, n=4 f=1, %d \
      epochs, batch %d, window 2, uniform scheduler, %d seeds per cell\n"
-    n f e18_epochs e18_batch seeds;
+    e18_epochs e18_batch seeds;
   (* part A: fault-free, live-instance high-water mark vs interval *)
   let gc_table =
     Table.create ~id:"e18-gc" ~title:"E18 checkpoint GC bound"
@@ -1134,8 +1046,7 @@ let experiment_e18 pool =
       ()
   in
   let gc_runs interval =
-    sweep_seeds pool ~seeds (fun seed ->
-        e18_stats (e18_run ~n ~f ~interval ~crash:[] ~seed) 0)
+    List.map snd (e18_runs pool ~seeds ~interval ~crash:"none")
   in
   let off_runs = gc_runs off in
   List.iter
@@ -1170,9 +1081,8 @@ let experiment_e18 pool =
   add_gc_row "off" off_runs "-";
   Table.print gc_table;
   print_newline ();
-  (* part B: crash one replica mid-run, measure rejoin-to-first-commit *)
-  let victim = n - 1 in
-  let rejoin = 2500 in
+  (* part B: crash replica 3 at tick 400, rejoin it at 2500, and
+     measure its rejoin-to-first-commit latency *)
   let latency_table =
     Table.create ~id:"e18-latency" ~title:"E18 recovery latency"
       ~columns:[ "C"; "latency ticks"; "transfers"; "max live" ]
@@ -1181,37 +1091,11 @@ let experiment_e18 pool =
   List.iter
     (fun interval ->
       let runs =
-        sweep_seeds pool ~seeds (fun seed ->
-            let result =
-              e18_run ~n ~f ~interval
-                ~crash:[ (victim, [ (400, rejoin) ]) ]
-                ~seed
-            in
-            let log i = Atomic.log_of_outputs result.AtomE.outputs.(i) in
-            (match (log 0, log victim) with
-            | Some a, Some b when a = b -> ()
-            | _ -> failwith "E18: recovered replica's log diverged");
-            (* first commit progress at the victim after its rejoin:
-               Epoch_committed for live epochs, or Log_complete when the
-               tail arrived wholesale via state transfer *)
-            let first =
-              List.fold_left
-                (fun acc (t, out) ->
-                  match out with
-                  | (Atomic.Epoch_committed _ | Atomic.Log_complete _)
-                    when t >= rejoin ->
-                    Some (match acc with None -> t | Some x -> min x t)
-                  | _ -> acc)
-                None
-                result.AtomE.outputs.(victim)
-            in
-            let latency =
-              match first with
-              | Some t -> t - rejoin
-              | None -> failwith "E18: no commit after rejoin"
-            in
-            let ml, _, transfers = e18_stats result victim in
-            (latency, transfers, ml))
+        e18_runs pool ~seeds ~interval ~crash:"3:400:2500"
+        |> List.map (fun (o, (ml, _, transfers)) ->
+               match o.Runner.o_rejoin_latency with
+               | Some latency -> (latency, transfers, ml)
+               | None -> failwith "E18: no commit after rejoin")
       in
       Table.add_row latency_table
         [
@@ -1230,14 +1114,15 @@ let experiment_e18 pool =
 
 (* The wall-clock side of bench/specs/e19_engine.matrix: one Bracha
    broadcast and one full MMR consensus per n at maximal resilience,
-   timed end to end on one domain.  "Events" are engine deliveries —
-   the unit of hot-path work (one arena removal, one protocol step,
-   one metrics/trace update) that PERFORMANCE.md budgets against.
-   Message/byte/tick counts and verdicts for the same cells are
-   pinned by the matrix spec and the CI bench gate; this table
-   reports the wall-clock the --no-wall exports deliberately zero
-   out.  Runs sequentially (never on the pool): overlapping runs
-   would time each other. *)
+   the spec's cells run through the same Runner.run_seed and timed end
+   to end on one domain.  "Events" are engine deliveries — the unit of
+   hot-path work (one arena removal, one protocol step, one
+   metrics/trace update) that PERFORMANCE.md budgets against.  The
+   table runs seeds 1-2 where the spec runs seeds 0-1, so its msgs/run
+   differ slightly from the matrix export; the spec and the CI bench
+   gate pin those counts, this table reports the wall-clock the
+   --no-wall exports deliberately zero out.  Runs sequentially (never
+   on the pool): overlapping runs would time each other. *)
 let experiment_e19 _pool =
   let seeds = scaled 2 in
   let table =
@@ -1248,59 +1133,36 @@ let experiment_e19 _pool =
             per cell, sequential)"
            seeds)
       ~columns:
-        [ "protocol"; "n"; "f"; "msgs/run"; "ticks/run"; "wall s"; "events/sec" ]
+        [ "protocol"; "n"; "f"; "msgs/run"; "ticks/run"; "wall s/run"; "events/sec" ]
       ()
   in
-  let row protocol n f run =
+  let row protocol (n, f) =
+    let c = cell protocol ~n ~f [ ("payload", Spec.Int 16) ] in
     let t0 = Unix.gettimeofday () in
-    let events = ref 0 and msgs = ref 0 and ticks = ref 0 in
-    for seed = 1 to seeds do
-      let delivered, sent, duration = run ~seed in
-      events := !events + delivered;
-      msgs := !msgs + sent;
-      ticks := !ticks + duration
-    done;
+    let runs = List.init seeds (fun k -> Runner.run_seed c ~seed:(k + 1)) in
     let dt = Unix.gettimeofday () -. t0 in
+    List.iteri
+      (fun k o ->
+        if not o.Runner.decided then
+          failwith
+            (Printf.sprintf "E19: %s n=%d seed=%d did not decide" protocol n (k + 1)))
+      runs;
+    let total field = List.fold_left (fun a o -> a + field o) 0 runs in
     Table.add_row table
       [
         protocol;
         Table.cell_int n;
         Table.cell_int f;
-        Table.cell_int (!msgs / seeds);
-        Table.cell_int (!ticks / seeds);
-        Table.cell_float ~decimals:3 dt;
-        Table.cell_float ~decimals:0 (float_of_int !events /. dt);
+        Table.cell_int (total (fun o -> o.Runner.o_messages) / seeds);
+        Table.cell_int (total (fun o -> o.Runner.o_ticks) / seeds);
+        Table.cell_float ~decimals:3 (dt /. float_of_int seeds);
+        Table.cell_float ~decimals:0
+          (float_of_int (total (fun o -> o.Runner.o_deliveries)) /. dt);
       ]
   in
-  let bracha ~n ~f ~seed =
-    let payload = e16_payload ~bytes:16 ~seed in
-    let config =
-      BrsE.config ~n ~f
-        ~inputs:(Bracha_str.inputs ~n ~sender:(node 0) payload)
-        ~adversary:Adversary.uniform ~seed ()
-    in
-    let r = BrsE.run config in
-    ( Abc_sim.Metrics.counter r.BrsE.metrics "delivered",
-      Abc_sim.Metrics.counter r.BrsE.metrics "sent",
-      r.BrsE.duration )
-  in
-  let mmr ~n ~f ~seed =
-    let inputs =
-      Mmr.inputs ~n ~coin:(Abc.Coin.common ~seed:7) (split_inputs n)
-    in
-    let config =
-      MmrH.E.config ~n ~f ~inputs ~adversary:Adversary.uniform ~seed ()
-    in
-    let result, verdict = MmrH.run config in
-    if not verdict.Abc.Harness.terminated then
-      failwith (Printf.sprintf "E19: mmr n=%d seed=%d did not decide" n seed);
-    ( Abc_sim.Metrics.counter result.MmrH.E.metrics "delivered",
-      Abc_sim.Metrics.counter result.MmrH.E.metrics "sent",
-      result.MmrH.E.duration )
-  in
   let arms = [ (16, 5); (64, 21); (128, 42); (256, 85) ] in
-  List.iter (fun (n, f) -> row "bracha-rbc" n f (bracha ~n ~f)) arms;
-  List.iter (fun (n, f) -> row "mmr" n f (mmr ~n ~f)) arms;
+  List.iter (row "bracha-rbc") arms;
+  List.iter (row "mmr") arms;
   Table.print table;
   print_newline ()
 

@@ -11,38 +11,9 @@ module Metrics = Abc_sim.Metrics
 module B = Abc.Bracha_consensus
 module BO = Abc.Ben_or
 module Mmr = Abc.Mmr_consensus
-module BRL = Abc_net.Reliable_link.Make (B)
 module Bracha_str = Abc.Bracha_rbc.Make (Abc.Payloads.String_payload)
 module Ir_str = Abc.Ir_rbc.Make (Abc.Payloads.String_payload)
 module Atomic = Abc_smr.Atomic_broadcast
-
-module BH = Abc.Harness.Make (struct
-  include B
-
-  let value_of_input = B.value_of_input
-end)
-
-module BOH = Abc.Harness.Make (struct
-  include BO
-
-  let value_of_input = BO.value_of_input
-end)
-
-module MmrH = Abc.Harness.Make (struct
-  include Mmr
-
-  let value_of_input = Mmr.value_of_input
-end)
-
-module BRLH = Abc.Harness.Make (struct
-  include BRL
-
-  let value_of_input = B.value_of_input
-end)
-
-module BrsE = Abc_net.Engine.Make (Bracha_str)
-module CodE = Abc_net.Engine.Make (Abc.Coded_rbc)
-module IrsE = Abc_net.Engine.Make (Ir_str)
 module AtomE = Abc_net.Engine.Make (Atomic)
 
 (* ----------------------------------------------------------------- *)
@@ -119,9 +90,9 @@ let tail_faults ~n ~count behaviour =
 let balanced_ids ~n ~count =
   List.init count (fun k -> if k mod 2 = 0 then k / 2 else n - 1 - (k / 2))
 
-(* Consensus fault battery, shared shape with bench/helpers.ml: the
-   highest-numbered [count] nodes misbehave, except [balanced-flip]
-   which splits the liars across the two input halves. *)
+(* Consensus fault battery: the highest-numbered [count] nodes
+   misbehave, except [balanced-flip], which splits the liars across
+   the two input halves (the bench's hardest placement, E3/E4/E6/E10). *)
 let consensus_faults (type msg) cell ~n ~token
     ~(flip : Abc_prng.Stream.t -> msg -> msg)
     ~(equivocate : Abc_prng.Stream.t -> dst:Node_id.t -> msg -> msg)
@@ -148,23 +119,19 @@ let two_faced ~n _rng ~dst s =
 
 (* RBC fault battery, mirroring E1's placements: the designated sender
    is node 0; [flip-relay] keeps the sender honest and corrupts a
-   relay instead. *)
-let rbc_faults cell ~n ~protocol ~token :
-    (Node_id.t * Bracha_str.msg Behaviour.t) list option =
-  ignore n;
-  match token with
-  | "none" -> Some []
-  | "silent-sender" -> Some [ (node 0, Behaviour.Silent) ]
-  | "crash-sender" -> Some [ (node 0, Behaviour.Crash_after 2) ]
-  | "flip-relay" when protocol = "bracha-rbc" ->
-    Some
-      [ (node 1, Behaviour.Mutate (Bracha_str.Fault.substitute flip_payload)) ]
-  | "equivocate-sender" when protocol = "bracha-rbc" ->
-    Some
-      [ (node 0, Behaviour.Equivocate (Bracha_str.Fault.equivocate (two_faced ~n))) ]
-  | "flip-relay" | "equivocate-sender" ->
+   relay instead.  [corrupt] carries the protocol's (relay mutation,
+   sender equivocation) pair; only Bracha's broadcast supplies one. *)
+let rbc_faults cell ~token ~corrupt =
+  match (token, corrupt) with
+  | "none", _ -> []
+  | "silent-sender", _ -> [ (node 0, Behaviour.Silent) ]
+  | "crash-sender", _ -> [ (node 0, Behaviour.Crash_after 2) ]
+  | "flip-relay", Some (flip, _) -> [ (node 1, Behaviour.Mutate flip) ]
+  | "equivocate-sender", Some (_, equivocate) ->
+    [ (node 0, Behaviour.Equivocate equivocate) ]
+  | ("flip-relay" | "equivocate-sender"), None ->
     bad cell "fault %S is only wired up for bracha-rbc" token
-  | _ -> None
+  | _ -> bad cell "unknown rbc fault %S" token
 
 let crash_schedules cell token =
   if token = "none" then []
@@ -207,19 +174,25 @@ type outcome = {
   o_bytes : int;
   o_ticks : int;
   o_committed : int;
+  o_deliveries : int;
+  o_gc_stats : (int * int * int) option;
+  o_rejoin_latency : int option;
 }
 
-let of_verdict (v : Abc.Harness.verdict) bytes =
+let failed_outcome =
   {
-    decided = v.Abc.Harness.terminated;
-    agreement = v.Abc.Harness.agreement;
-    validity = v.Abc.Harness.validity;
-    totality = true;
-    o_rounds = v.Abc.Harness.max_round;
-    o_messages = v.Abc.Harness.messages;
-    o_bytes = bytes;
-    o_ticks = v.Abc.Harness.duration;
+    decided = false;
+    agreement = false;
+    validity = false;
+    totality = false;
+    o_rounds = 0;
+    o_messages = 0;
+    o_bytes = 0;
+    o_ticks = 0;
     o_committed = 0;
+    o_deliveries = 0;
+    o_gc_stats = None;
+    o_rejoin_latency = None;
   }
 
 type cfg = {
@@ -266,104 +239,44 @@ let cfg_of_cell cell =
     crash_tok = Spec.find_str cell "crash" ~default:"none";
   }
 
-let run_bracha cell cfg ~options ~seed =
-  let values = inputs_pattern cell ~n:cfg.n cfg.inputs_tok in
-  let faulty =
-    consensus_faults cell ~n:cfg.n ~token:cfg.fault_tok ~flip:B.Fault.flip_value
-      ~equivocate:(B.Fault.equivocate_by_half ~n:cfg.n)
-      ~force:(Some B.Fault.force_decide)
-  in
-  let config =
-    BH.E.config ~n:cfg.n ~f:cfg.f
-      ~inputs:(B.inputs ~n:cfg.n ~options values)
-      ~faulty
-      ~adversary:(adversary cell ~n:cfg.n cfg.adversary_tok)
-      ?topology:(topology cell ~n:cfg.n cfg.topology_tok)
-      ?link_faults:(link_faults ~loss:cfg.loss ~dup:cfg.dup)
-      ?max_deliveries:cfg.budget ~seed ()
-  in
-  let result, verdict = BH.run config in
-  of_verdict verdict (Metrics.counter result.BH.E.metrics "bytes.sent")
+(* One Harness-judged binary-consensus run.  The functor argument is
+   the protocol; each token's dispatch arm supplies its inputs and
+   fault battery. *)
+module Consensus (P : Abc.Harness.CONSENSUS) = struct
+  module H = Abc.Harness.Make (P)
 
-let run_bracha_rl cell cfg ~seed =
-  if cfg.fault_tok <> "none" then
-    bad cell "bracha-rl cells only support fault none";
-  let values = inputs_pattern cell ~n:cfg.n cfg.inputs_tok in
-  let config =
-    BRLH.E.config ~n:cfg.n ~f:cfg.f
-      ~inputs:(B.inputs ~n:cfg.n ~options:B.Options.default values)
-      ~adversary:(adversary cell ~n:cfg.n cfg.adversary_tok)
-      ?topology:(topology cell ~n:cfg.n cfg.topology_tok)
-      ?link_faults:(link_faults ~loss:cfg.loss ~dup:cfg.dup)
-      ?max_deliveries:cfg.budget ~seed ()
-  in
-  let result, verdict = BRLH.run config in
-  of_verdict verdict (Metrics.counter result.BRLH.E.metrics "bytes.sent")
+  let run cell cfg ~inputs ~faulty ~seed =
+    let config =
+      H.E.config ~n:cfg.n ~f:cfg.f ~inputs ~faulty
+        ~adversary:(adversary cell ~n:cfg.n cfg.adversary_tok)
+        ?topology:(topology cell ~n:cfg.n cfg.topology_tok)
+        ?link_faults:(link_faults ~loss:cfg.loss ~dup:cfg.dup)
+        ?max_deliveries:cfg.budget ~seed ()
+    in
+    let result, v = H.run config in
+    {
+      failed_outcome with
+      decided = v.Abc.Harness.terminated;
+      agreement = v.Abc.Harness.agreement;
+      validity = v.Abc.Harness.validity;
+      totality = true;
+      o_rounds = v.Abc.Harness.max_round;
+      o_messages = v.Abc.Harness.messages;
+      o_bytes = Metrics.counter result.H.E.metrics "bytes.sent";
+      o_ticks = v.Abc.Harness.duration;
+      o_deliveries = v.Abc.Harness.deliveries;
+    }
+end
 
-let run_benor cell cfg ~seed =
-  let values = inputs_pattern cell ~n:cfg.n cfg.inputs_tok in
-  let faulty =
-    consensus_faults cell ~n:cfg.n ~token:cfg.fault_tok ~flip:BO.Fault.flip_value
-      ~equivocate:(BO.Fault.equivocate_by_half ~n:cfg.n)
-      ~force:None
-  in
-  let config =
-    BOH.E.config ~n:cfg.n ~f:cfg.f
-      ~inputs:(BO.inputs ~n:cfg.n ~mode:BO.Mode.Byzantine ~coin:Abc.Coin.local values)
-      ~faulty
-      ~adversary:(adversary cell ~n:cfg.n cfg.adversary_tok)
-      ?topology:(topology cell ~n:cfg.n cfg.topology_tok)
-      ?link_faults:(link_faults ~loss:cfg.loss ~dup:cfg.dup)
-      ?max_deliveries:cfg.budget ~seed ()
-  in
-  let result, verdict = BOH.run config in
-  of_verdict verdict (Metrics.counter result.BOH.E.metrics "bytes.sent")
+module Bracha_run = Consensus (B)
+module Ben_or_run = Consensus (BO)
+module Mmr_run = Consensus (Mmr)
 
-let run_mmr cell cfg ~seed =
-  let values = inputs_pattern cell ~n:cfg.n cfg.inputs_tok in
-  let faulty =
-    consensus_faults cell ~n:cfg.n ~token:cfg.fault_tok ~flip:Mmr.Fault.flip_value
-      ~equivocate:(Mmr.Fault.equivocate_by_half ~n:cfg.n)
-      ~force:None
-  in
-  let config =
-    MmrH.E.config ~n:cfg.n ~f:cfg.f
-      ~inputs:(Mmr.inputs ~n:cfg.n ~coin:(Abc.Coin.common ~seed:7) values)
-      ~faulty
-      ~adversary:(adversary cell ~n:cfg.n cfg.adversary_tok)
-      ?topology:(topology cell ~n:cfg.n cfg.topology_tok)
-      ?link_faults:(link_faults ~loss:cfg.loss ~dup:cfg.dup)
-      ?max_deliveries:cfg.budget ~seed ()
-  in
-  let result, verdict = MmrH.run config in
-  of_verdict verdict (Metrics.counter result.MmrH.E.metrics "bytes.sent")
+module Bracha_rl_run = Consensus (struct
+  include Abc_net.Reliable_link.Make (B)
 
-(* RBC outcome: fold the honest nodes' [Delivered] outputs into the
-   validity/agreement/totality triple the way E1 does. *)
-let rbc_outcome ~honest ~payload ~sender_honest ~delivered ~messages ~bytes
-    ~ticks =
-  let count = List.length delivered in
-  let all = count = List.length honest in
-  let agreement =
-    match delivered with
-    | v :: rest -> List.for_all (String.equal v) rest
-    | [] -> true
-  in
-  let validity =
-    (not sender_honest)
-    || List.for_all (String.equal payload) delivered
-  in
-  {
-    decided = all;
-    agreement;
-    validity;
-    totality = count = 0 || all;
-    o_rounds = 0;
-    o_messages = messages;
-    o_bytes = bytes;
-    o_ticks = ticks;
-    o_committed = 0;
-  }
+  let value_of_input = B.value_of_input
+end)
 
 let honest_of_faulty ~n faulty =
   let ids = List.map fst faulty in
@@ -371,102 +284,84 @@ let honest_of_faulty ~n faulty =
     (fun id -> not (List.exists (Node_id.equal id) ids))
     (Node_id.all ~n)
 
-let run_bracha_rbc cell cfg ~seed =
-  let payload = payload_bytes ~bytes:cfg.payload ~seed in
-  let faulty =
-    match rbc_faults cell ~n:cfg.n ~protocol:"bracha-rbc" ~token:cfg.fault_tok with
-    | Some fs -> fs
-    | None -> bad cell "unknown rbc fault %S" cfg.fault_tok
-  in
-  let config =
-    BrsE.config ~n:cfg.n ~f:cfg.f
-      ~inputs:(Bracha_str.inputs ~n:cfg.n ~sender:(node 0) payload)
-      ~faulty
-      ~adversary:(adversary cell ~n:cfg.n cfg.adversary_tok)
-      ?topology:(topology cell ~n:cfg.n cfg.topology_tok)
-      ?link_faults:(link_faults ~loss:cfg.loss ~dup:cfg.dup)
-      ?max_deliveries:cfg.budget ~seed ()
-  in
-  let result = BrsE.run config in
-  let honest = honest_of_faulty ~n:cfg.n faulty in
-  let delivered =
-    List.filter_map
-      (fun id ->
-        match result.BrsE.outputs.(Node_id.to_int id) with
-        | [ (_, Bracha_str.Delivered v) ] -> Some v
-        | _ -> None)
-      honest
-  in
-  rbc_outcome ~honest ~payload
-    ~sender_honest:(cfg.fault_tok = "none" || cfg.fault_tok = "flip-relay")
-    ~delivered
-    ~messages:(Metrics.counter result.BrsE.metrics "sent")
-    ~bytes:(Metrics.counter result.BrsE.metrics "bytes.sent")
-    ~ticks:result.BrsE.duration
+(* One reliable broadcast of a [payload]-byte string from node 0,
+   judged the way E1 does: validity/agreement/totality over the honest
+   nodes' [Delivered] outputs. *)
+module Broadcast (P : sig
+  include Abc_net.Protocol.S
 
-let generic_rbc_faults cell ~token :
-    (Node_id.t * 'msg Behaviour.t) list =
-  match token with
-  | "none" -> []
-  | "silent-sender" -> [ (node 0, Behaviour.Silent) ]
-  | "crash-sender" -> [ (node 0, Behaviour.Crash_after 2) ]
-  | _ -> bad cell "fault %S is only wired up for bracha-rbc" token
+  val inputs : n:int -> sender:Node_id.t -> string -> input array
 
-let run_coded_rbc cell cfg ~seed =
-  let payload = payload_bytes ~bytes:cfg.payload ~seed in
-  let faulty = generic_rbc_faults cell ~token:cfg.fault_tok in
-  let config =
-    CodE.config ~n:cfg.n ~f:cfg.f
-      ~inputs:(Abc.Coded_rbc.inputs ~n:cfg.n ~sender:(node 0) payload)
-      ~faulty
-      ~adversary:(adversary cell ~n:cfg.n cfg.adversary_tok)
-      ?topology:(topology cell ~n:cfg.n cfg.topology_tok)
-      ?link_faults:(link_faults ~loss:cfg.loss ~dup:cfg.dup)
-      ?max_deliveries:cfg.budget ~seed ()
-  in
-  let result = CodE.run config in
-  let honest = honest_of_faulty ~n:cfg.n faulty in
-  let delivered =
-    List.filter_map
-      (fun id ->
-        match result.CodE.outputs.(Node_id.to_int id) with
-        | [ (_, Abc.Coded_rbc.Delivered v) ] -> Some v
-        | _ -> None)
-      honest
-  in
-  rbc_outcome ~honest ~payload ~sender_honest:(cfg.fault_tok = "none")
-    ~delivered
-    ~messages:(Metrics.counter result.CodE.metrics "sent")
-    ~bytes:(Metrics.counter result.CodE.metrics "bytes.sent")
-    ~ticks:result.CodE.duration
+  val delivered : output -> string
+end) =
+struct
+  module E = Abc_net.Engine.Make (P)
 
-let run_ir_rbc cell cfg ~seed =
-  let payload = payload_bytes ~bytes:cfg.payload ~seed in
-  let faulty = generic_rbc_faults cell ~token:cfg.fault_tok in
-  let config =
-    IrsE.config ~n:cfg.n ~f:cfg.f
-      ~inputs:(Ir_str.inputs ~n:cfg.n ~sender:(node 0) payload)
-      ~faulty
-      ~adversary:(adversary cell ~n:cfg.n cfg.adversary_tok)
-      ?topology:(topology cell ~n:cfg.n cfg.topology_tok)
-      ?link_faults:(link_faults ~loss:cfg.loss ~dup:cfg.dup)
-      ?max_deliveries:cfg.budget ~seed ()
-  in
-  let result = IrsE.run config in
-  let honest = honest_of_faulty ~n:cfg.n faulty in
-  let delivered =
-    List.filter_map
-      (fun id ->
-        match result.IrsE.outputs.(Node_id.to_int id) with
-        | [ (_, Ir_str.Delivered v) ] -> Some v
-        | _ -> None)
-      honest
-  in
-  rbc_outcome ~honest ~payload ~sender_honest:(cfg.fault_tok = "none")
-    ~delivered
-    ~messages:(Metrics.counter result.IrsE.metrics "sent")
-    ~bytes:(Metrics.counter result.IrsE.metrics "bytes.sent")
-    ~ticks:result.IrsE.duration
+  let run cell cfg ~faulty ~seed =
+    let payload = payload_bytes ~bytes:cfg.payload ~seed in
+    let config =
+      E.config ~n:cfg.n ~f:cfg.f
+        ~inputs:(P.inputs ~n:cfg.n ~sender:(node 0) payload)
+        ~faulty
+        ~adversary:(adversary cell ~n:cfg.n cfg.adversary_tok)
+        ?topology:(topology cell ~n:cfg.n cfg.topology_tok)
+        ?link_faults:(link_faults ~loss:cfg.loss ~dup:cfg.dup)
+        ?max_deliveries:cfg.budget ~seed ()
+    in
+    let result = E.run config in
+    let honest = honest_of_faulty ~n:cfg.n faulty in
+    let delivered =
+      List.filter_map
+        (fun id ->
+          match result.E.outputs.(Node_id.to_int id) with
+          | [ (_, out) ] -> Some (P.delivered out)
+          | _ -> None)
+        honest
+    in
+    let count = List.length delivered in
+    let all = count = List.length honest in
+    let sender_honest = List.exists (Node_id.equal (node 0)) honest in
+    {
+      failed_outcome with
+      decided = all;
+      agreement =
+        (match delivered with
+        | v :: rest -> List.for_all (String.equal v) rest
+        | [] -> true);
+      validity =
+        (not sender_honest) || List.for_all (String.equal payload) delivered;
+      totality = count = 0 || all;
+      o_messages = Metrics.counter result.E.metrics "sent";
+      o_bytes = Metrics.counter result.E.metrics "bytes.sent";
+      o_ticks = result.E.duration;
+      o_deliveries = result.E.deliveries;
+    }
+end
+
+module Bracha_rbc_run = Broadcast (struct
+  include Bracha_str
+
+  let delivered (Delivered v) = v
+end)
+
+module Coded_rbc_run = Broadcast (struct
+  include Abc.Coded_rbc
+
+  let delivered (Delivered v) = v
+end)
+
+module Ir_rbc_run = Broadcast (struct
+  include Ir_str
+
+  let delivered (Delivered v) = v
+end)
+
+(* Every [Some] log equals every other: a replica without a log (it did
+   not finish) constrains nothing, wherever it sits in the list. *)
+let logs_agree logs =
+  match List.filter_map Fun.id logs with
+  | first :: rest -> List.for_all (( = ) first) rest
+  | [] -> true
 
 let run_atomic cell cfg ~seed =
   let mempools =
@@ -507,54 +402,84 @@ let run_atomic cell cfg ~seed =
   let logs =
     List.map (fun id -> Atomic.log_of_outputs result.AtomE.outputs.(Node_id.to_int id)) correct
   in
-  let decided =
-    result.AtomE.stop = Abc_net.Engine.All_terminal
-    && List.for_all (fun l -> l <> None) logs
+  (* The watched replica is the first crash-recovered one (node 0 when
+     nothing crashes); its rejoin latency is the ticks from its rejoin
+     to its first commit progress — [Epoch_committed] for a live epoch,
+     or [Log_complete] when state transfer delivered the tail whole. *)
+  let watched, rejoin =
+    match crash with (i, [ (_, up) ]) :: _ -> (i, Some up) | _ -> (0, None)
   in
-  let agreement =
-    match logs with
-    | first :: rest -> List.for_all (fun l -> l = None || l = first || first = None) rest
-    | [] -> true
-  in
-  let committed =
-    match logs with Some l :: _ -> List.length l | _ -> 0
+  let outputs = result.AtomE.outputs.(watched) in
+  let rejoin_latency up =
+    List.fold_left
+      (fun acc (t, out) ->
+        match out with
+        | (Atomic.Epoch_committed _ | Atomic.Log_complete _) when t >= up ->
+          Some (match acc with None -> t - up | Some x -> min x (t - up))
+        | _ -> acc)
+      None outputs
   in
   {
-    decided;
-    agreement;
+    decided =
+      result.AtomE.stop = Abc_net.Engine.All_terminal
+      && List.for_all (fun l -> l <> None) logs;
+    agreement = logs_agree logs;
     validity = true;
     totality = true;
     o_rounds = 0;
     o_messages = Metrics.counter result.AtomE.metrics "sent";
     o_bytes = Metrics.counter result.AtomE.metrics "bytes.sent";
     o_ticks = result.AtomE.duration;
-    o_committed = committed;
-  }
-
-let failed_outcome =
-  {
-    decided = false;
-    agreement = false;
-    validity = false;
-    totality = false;
-    o_rounds = 0;
-    o_messages = 0;
-    o_bytes = 0;
-    o_ticks = 0;
-    o_committed = 0;
+    o_committed =
+      (match List.find_map Fun.id logs with Some l -> List.length l | None -> 0);
+    o_deliveries = result.AtomE.deliveries;
+    o_gc_stats = Atomic.stats_of_outputs outputs;
+    o_rejoin_latency = Option.bind rejoin rejoin_latency;
   }
 
 let dispatch cell cfg ~seed =
+  let n = cfg.n and token = cfg.fault_tok in
+  let values () = inputs_pattern cell ~n cfg.inputs_tok in
+  let bracha options =
+    Bracha_run.run cell cfg ~seed
+      ~inputs:(B.inputs ~n ~options (values ()))
+      ~faulty:
+        (consensus_faults cell ~n ~token ~flip:B.Fault.flip_value
+           ~equivocate:(B.Fault.equivocate_by_half ~n)
+           ~force:(Some B.Fault.force_decide))
+  in
   match cfg.protocol with
-  | "bracha" -> run_bracha cell cfg ~options:B.Options.default ~seed
-  | "bracha-cc" ->
-    run_bracha cell cfg ~options:(B.Options.with_common_coin ~seed:7) ~seed
-  | "bracha-rl" -> run_bracha_rl cell cfg ~seed
-  | "ben-or" -> run_benor cell cfg ~seed
-  | "mmr" -> run_mmr cell cfg ~seed
-  | "bracha-rbc" -> run_bracha_rbc cell cfg ~seed
-  | "coded-rbc" -> run_coded_rbc cell cfg ~seed
-  | "ir-rbc" -> run_ir_rbc cell cfg ~seed
+  | "bracha" -> bracha B.Options.default
+  | "bracha-cc" -> bracha (B.Options.with_common_coin ~seed:7)
+  | "bracha-rl" ->
+    if token <> "none" then bad cell "bracha-rl cells only support fault none";
+    Bracha_rl_run.run cell cfg ~seed ~faulty:[]
+      ~inputs:(B.inputs ~n ~options:B.Options.default (values ()))
+  | "ben-or" ->
+    Ben_or_run.run cell cfg ~seed
+      ~inputs:
+        (BO.inputs ~n ~mode:BO.Mode.Byzantine ~coin:Abc.Coin.local (values ()))
+      ~faulty:
+        (consensus_faults cell ~n ~token ~flip:BO.Fault.flip_value
+           ~equivocate:(BO.Fault.equivocate_by_half ~n) ~force:None)
+  | "mmr" ->
+    Mmr_run.run cell cfg ~seed
+      ~inputs:(Mmr.inputs ~n ~coin:(Abc.Coin.common ~seed:7) (values ()))
+      ~faulty:
+        (consensus_faults cell ~n ~token ~flip:Mmr.Fault.flip_value
+           ~equivocate:(Mmr.Fault.equivocate_by_half ~n) ~force:None)
+  | "bracha-rbc" ->
+    Bracha_rbc_run.run cell cfg ~seed
+      ~faulty:
+        (rbc_faults cell ~token
+           ~corrupt:
+             (Some
+                ( Bracha_str.Fault.substitute flip_payload,
+                  Bracha_str.Fault.equivocate (two_faced ~n) )))
+  | "coded-rbc" ->
+    Coded_rbc_run.run cell cfg ~seed ~faulty:(rbc_faults cell ~token ~corrupt:None)
+  | "ir-rbc" ->
+    Ir_rbc_run.run cell cfg ~seed ~faulty:(rbc_faults cell ~token ~corrupt:None)
   | "atomic" -> run_atomic cell cfg ~seed
   | p -> bad cell "unknown protocol %S" p
 
@@ -564,8 +489,8 @@ let dispatch cell cfg ~seed =
    that specific rejection becomes a failed outcome; every other
    [Invalid_argument] (unknown token, bad axis combination) stays an
    error. *)
-let run_seed cell cfg ~seed =
-  match dispatch cell cfg ~seed with
+let run_seed cell ~seed =
+  match dispatch cell (cfg_of_cell cell) ~seed with
   | outcome -> outcome
   | exception Invalid_argument msg
     when String.length msg >= 7 && String.sub msg 0 7 = "Quorum." ->
@@ -625,28 +550,26 @@ let run ?clock ?(seeds_scale = 1.) ~pool spec =
        worker count. *)
     List.concat_map
       (fun cell ->
-        let cfg = cfg_of_cell cell in
-        let seeds = scaled_seeds ~seeds_scale cfg.seeds in
-        List.init seeds (fun seed -> (cell, cfg, seed)))
+        let seeds = scaled_seeds ~seeds_scale (cfg_of_cell cell).seeds in
+        List.init seeds (fun seed -> (cell, seed)))
       cells
   in
   let job_array = Array.of_list jobs in
   let outcomes =
     Pool.map pool (Array.length job_array) (fun i ->
-        let cell, cfg, seed = job_array.(i) in
+        let cell, seed = job_array.(i) in
         match clock with
-        | None -> (run_seed cell cfg ~seed, 0.)
+        | None -> (run_seed cell ~seed, 0.)
         | Some now ->
           let t0 = now () in
-          let o = run_seed cell cfg ~seed in
+          let o = run_seed cell ~seed in
           (o, now () -. t0))
   in
   let cursor = ref 0 in
   let results =
     List.map
       (fun cell ->
-        let cfg = cfg_of_cell cell in
-        let seeds = scaled_seeds ~seeds_scale cfg.seeds in
+        let seeds = scaled_seeds ~seeds_scale (cfg_of_cell cell).seeds in
         let mine = Array.sub outcomes !cursor seeds in
         cursor := !cursor + seeds;
         let total = Array.length mine in

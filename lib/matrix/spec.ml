@@ -118,6 +118,15 @@ let known_axes =
     ("crash", Tstr);
   ]
 
+let cell_of pairs =
+  let no_pos = { Sexp.line = 0; col = 0 } in
+  let bind (axis, value) =
+    if not (List.mem_assoc axis known_axes) then
+      invalid_arg (Printf.sprintf "Spec.cell_of: unknown axis %S" axis);
+    { axis; value; vspan = { Sexp.s = no_pos; e = no_pos } }
+  in
+  { bindings = List.map bind pairs; oracle = Any }
+
 let classify_atom s =
   match int_of_string_opt s with
   | Some i -> Int i

@@ -57,6 +57,11 @@ val find_num : cell -> string -> default:float -> float
 
 val find_str : cell -> string -> default:string -> string
 
+val cell_of : (string * value) list -> cell
+(** A cell from axis/value pairs, with oracle {!Any}: one configuration
+    run without a spec file.  Raises [Invalid_argument] on an axis
+    outside the spec vocabulary. *)
+
 val cell_key : cell -> (string * string) list
 (** Axis-name/value pairs in axis order — the identity a cell keeps
     across runs, used by [abc-bench diff] to match cells. *)

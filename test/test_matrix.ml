@@ -262,6 +262,77 @@ let test_no_clock_zero_wall () =
         "wall is exactly 0 without a clock" 0.0 c.Runner.metrics.Runner.wall_s)
     r.Runner.cells
 
+(* ---- runner: per-seed outcomes, as the bench tables read them ---- *)
+
+let e18_cell ~checkpoint ~crash =
+  Spec.cell_of
+    [
+      ("protocol", Spec.Str "atomic");
+      ("n", Spec.Int 4);
+      ("f", Spec.Int 1);
+      ("batch", Spec.Int 4);
+      ("epochs", Spec.Int 12);
+      ("checkpoint", Spec.Int checkpoint);
+      ("crash", Spec.Str crash);
+      ("payload", Spec.Int 32);
+    ]
+
+(* Pinned to what E18 and E19 measured with their own engine runs
+   before they read run_seed: the watched replica's (max_live,
+   checkpoints, transfers), its rejoin-to-first-commit ticks, and the
+   engine's delivery count. *)
+let test_outcome_fields () =
+  let gc = Alcotest.(option (triple int int int)) in
+  List.iter
+    (fun (name, cell, seed, stats, latency) ->
+      let o = Runner.run_seed cell ~seed in
+      Alcotest.(check bool) (name ^ ": decides") true (Runner.decides o);
+      Alcotest.check gc (name ^ ": gc stats") stats o.Runner.o_gc_stats;
+      Alcotest.(check (option int))
+        (name ^ ": rejoin latency") latency o.Runner.o_rejoin_latency)
+    [
+      ( "crash C=1 seed 0", e18_cell ~checkpoint:1 ~crash:"3:400:2500", 0,
+        Some (4, 11, 1), Some 4713 );
+      ( "crash C=1 seed 1", e18_cell ~checkpoint:1 ~crash:"3:400:2500", 1,
+        Some (4, 10, 1), Some 4868 );
+      ("C=2 seed 0", e18_cell ~checkpoint:2 ~crash:"none", 0, Some (4, 5, 0), None);
+      ("C=2 seed 1", e18_cell ~checkpoint:2 ~crash:"none", 1, Some (4, 5, 0), None);
+    ];
+  let rbc =
+    Spec.cell_of
+      [
+        ("protocol", Spec.Str "bracha-rbc");
+        ("n", Spec.Int 16);
+        ("f", Spec.Int 5);
+        ("payload", Spec.Int 16);
+      ]
+  in
+  let o = Runner.run_seed rbc ~seed:1 in
+  Alcotest.(check int) "bracha-rbc n=16 seed 1: deliveries" 476 o.Runner.o_deliveries;
+  Alcotest.(check int) "bracha-rbc n=16 seed 1: messages" 528 o.Runner.o_messages
+
+(* A replica without a log must not stand in for the others: the two
+   complete logs below differ, wherever the unfinished one sits. *)
+let test_logs_agree () =
+  let a = Some [ "t1"; "t2" ] and b = Some [ "t2"; "t1" ] in
+  Alcotest.(check bool) "None first, then differing logs" false
+    (Runner.logs_agree [ None; a; b ]);
+  Alcotest.(check bool) "differing logs, None last" false
+    (Runner.logs_agree [ a; b; None ]);
+  Alcotest.(check bool) "equal logs around a None" true
+    (Runner.logs_agree [ a; None; a ]);
+  Alcotest.(check bool) "no logs at all" true (Runner.logs_agree [ None; None ])
+
+let test_cell_of () =
+  let cell = Spec.cell_of [ ("protocol", Spec.Str "mmr"); ("n", Spec.Int 7) ] in
+  Alcotest.(check (list (pair string string)))
+    "key in the given order"
+    [ ("protocol", "mmr"); ("n", "7") ]
+    (Spec.cell_key cell);
+  Alcotest.check_raises "unknown axis"
+    (Invalid_argument "Spec.cell_of: unknown axis \"colour\"") (fun () ->
+      ignore (Spec.cell_of [ ("colour", Spec.Str "red") ]))
+
 (* ---- committed specs stay loadable and well-formed ---- *)
 
 let test_committed_specs () =
@@ -309,6 +380,11 @@ let () =
             test_expect_fail_semantics;
           Alcotest.test_case "wall-clock zero without a clock" `Quick
             test_no_clock_zero_wall;
+          Alcotest.test_case "outcome fields the bench tables read" `Quick
+            test_outcome_fields;
+          Alcotest.test_case "log agreement ignores missing logs only" `Quick
+            test_logs_agree;
+          Alcotest.test_case "cells from axis/value pairs" `Quick test_cell_of;
         ] );
       ( "specs",
         [
