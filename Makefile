@@ -62,6 +62,10 @@ golden:
 	  --trace-out _build/rlog_trace.jsonl
 	dune exec bin/abc_trace.exe -- summary _build/rlog_trace.jsonl \
 	  > test/golden/rlog_summary.txt
+	dune exec bin/abc_run.exe -- rbc --protocol coded -n 7 -f 2 \
+	  --payload-bytes 65536 --seed 2 --trace-out _build/coded_trace.jsonl
+	dune exec bin/abc_trace.exe -- summary _build/coded_trace.jsonl \
+	  > test/golden/coded_summary.txt
 	dune runtest
 
 examples:

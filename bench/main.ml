@@ -434,8 +434,32 @@ let bechamel_tests () =
   let full_benor_run =
     full_run "full ben-or run (n=6, f=1)" (cell "ben-or" ~n:6 ~f:1 [])
   in
+  (* The coded broadcast's dissemination kernel on one 256 KiB batch at
+     n=7, k=3: the sender's encode, a receiver's decode when only parity
+     fragments arrived (no position is copied verbatim), the root-only
+     re-encode that validation compares, and one fragment's Merkle
+     check. *)
+  let kernel =
+    let n = 7 and k = 3 and len = 256 * 1024 in
+    let payload = String.init len (fun i -> Char.chr ((31 * i) land 0xFF)) in
+    let fragments = Abc.Rs.encode ~k ~n payload in
+    let root, branches = Abc.Rs.Merkle.commit ~len fragments in
+    let parity = List.filteri (fun i _ -> i >= n - k) (Array.to_list fragments) in
+    [
+      Test.make ~name:"rs.encode (n=7, k=3, 256 KiB)"
+        (Staged.stage (fun () -> ignore (Abc.Rs.encode ~k ~n payload)));
+      Test.make ~name:"rs.decode parity-only (n=7, k=3, 256 KiB)"
+        (Staged.stage (fun () -> ignore (Abc.Rs.decode ~k ~len parity)));
+      Test.make ~name:"rs.commitment (n=7, k=3, 256 KiB)"
+        (Staged.stage (fun () -> ignore (Abc.Rs.commitment ~k ~n payload)));
+      Test.make ~name:"merkle.verify (n=7, k=3, 256 KiB)"
+        (Staged.stage (fun () ->
+             ignore (Abc.Rs.Merkle.verify ~root ~len ~index:5 branches.(5) fragments.(5))));
+    ]
+  in
   Test.make_grouped ~name:"abc"
-    [ rbc_handle; validation_submit; full_rbc_run; full_consensus_run; full_benor_run ]
+    ([ rbc_handle; validation_submit; full_rbc_run; full_consensus_run; full_benor_run ]
+    @ kernel)
 
 let experiment_e8 _pool =
   let open Bechamel in
@@ -455,8 +479,8 @@ let experiment_e8 _pool =
   List.iter
     (fun (name, ols) ->
       match Analyze.OLS.estimates ols with
-      | Some [ est ] -> Printf.printf "  %-36s %12.1f ns/run\n" name est
-      | Some _ | None -> Printf.printf "  %-36s (no estimate)\n" name)
+      | Some [ est ] -> Printf.printf "  %-48s %12.1f ns/run\n" name est
+      | Some _ | None -> Printf.printf "  %-48s (no estimate)\n" name)
     (List.sort (fun (a, _) (b, _) -> String.compare a b) rows);
   print_newline ()
 

@@ -36,7 +36,9 @@ type state = {
   readied : bool;
   delivered : bool;
   echoes : tally Root_map.t;
-  readies : Node_id.Set.t Root_map.t;
+  (* Ready senders per root, with their count kept alongside so a
+     quorum check never walks the set. *)
+  readies : (int * Node_bitset.t) Root_map.t;
   (* Memoized validation per root: [Some payload] decodes and
      re-encodes back to the root, [None] is a proven-inconsistent
      dispersal.  The verdict cannot depend on which fragments are used
@@ -73,17 +75,19 @@ let validate state root =
            malformed dispersal, never deliverable. *)
         ({ state with checked = Root_map.add root None state.checked }, None)
       | payload ->
-        let root', _ =
-          Rs.Merkle.commit ~len:tally.len
-            (Rs.encode ~k ~n:state.n payload)
+        (* Re-encode the decoded string and recommit.  Going through
+           the string is what rejects a codeword whose padding is
+           non-zero or whose symbols exceed [Rs.symbol_bytes] bytes:
+           the payload does not re-encode to it. *)
+        let result =
+          if Rs.commitment ~k ~n:state.n payload = root then Some payload else None
         in
-        let result = if root' = root then Some payload else None in
         ({ state with checked = Root_map.add root result state.checked }, result))
     | Some _ | None -> (state, None))
 
 let ready_support state root =
   match Root_map.find_opt root state.readies with
-  | Some nodes -> Node_id.Set.cardinal nodes
+  | Some (count, _) -> count
   | None -> 0
 
 let echo_support state root =
@@ -186,6 +190,11 @@ let on_message (ctx : Protocol.Context.t) state ~src = function
       ( { state with val_seen = true },
         [ Protocol.Broadcast (Echo { root; len; branch; fragment }) ],
         [] )
+  (* Once delivered, a node has also sent its Ready (delivery needs
+     2f+1 readies, which already enable amplification), so no rule is
+     left to fire: a late Echo or Ready hands the state back physically,
+     without verifying or tallying anything. *)
+  | Echo _ | Ready _ when state.delivered -> (state, [], [])
   | Echo { root; len; branch; fragment } ->
     (* Each node may echo only its own fragment (the leaf index is the
        node id), so a Byzantine echoer cannot stuff the tally. *)
@@ -211,16 +220,19 @@ let on_message (ctx : Protocol.Context.t) state ~src = function
         progress ctx state root
       end
     end
-  | Ready { root } ->
-    let nodes =
-      match Root_map.find_opt root state.readies with
-      | Some nodes -> nodes
-      | None -> Node_id.Set.empty
-    in
-    let state =
-      { state with readies = Root_map.add root (Node_id.Set.add src nodes) state.readies }
-    in
-    progress ctx state root
+  | Ready { root } -> (
+    (* A repeated sender moves no count, and [root]'s rules were already
+       run when its counts last moved. *)
+    match Root_map.find_opt root state.readies with
+    | Some (_, nodes) when Node_bitset.mem nodes src -> (state, [], [])
+    | entry ->
+      let count, nodes =
+        match entry with
+        | Some entry -> entry
+        | None -> (0, Node_bitset.empty ~n:state.n)
+      in
+      let entry = (count + 1, Node_bitset.add nodes src) in
+      progress ctx { state with readies = Root_map.add root entry state.readies } root)
 
 let is_terminal (Delivered _) = true
 

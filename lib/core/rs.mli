@@ -12,13 +12,20 @@
     bytes are packed 3 per symbol, each block of [k] symbols defines a
     degree < [k] polynomial, and fragment [i] holds the evaluations at
     [x = i + 1].  Decoding is Lagrange interpolation with per-target
-    weight vectors precomputed once and shared across blocks.
+    weight vectors precomputed once and shared across blocks; a data
+    position whose own fragment is among those given is copied
+    verbatim instead (its weight vector would be the unit vector).
+    Encoding, decoding and packing are closure-free loops over the
+    symbol arrays.
 
     The {!Merkle} submodule provides the commitment binding a
     fragment set to a single root, so receivers can verify a relayed
     fragment without seeing the rest.  Hashes are modeled: a cheap
     deterministic integer mix stands in for a 256-bit hash, but wire
-    accounting charges the full {!Merkle.hash_bytes} per digest. *)
+    accounting charges the full {!Merkle.hash_bytes} per digest.
+    {!commitment} is the root alone, computed without building the
+    fragments: it is what a receiver re-derives when it checks a
+    decoded payload against the root it was sent. *)
 
 type fragment = { index : int; data : Gf.t array }
 (** Fragment [index] of an encoding: one {!Gf} symbol per block. *)
@@ -81,3 +88,13 @@ module Merkle : sig
   val branch_wire_bytes : branch -> int
   (** Modeled wire size of a branch ([hash_bytes] per level). *)
 end
+
+val commitment : k:int -> n:int -> string -> Merkle.root
+(** [commitment ~k ~n payload] is
+    [fst (Merkle.commit ~len (encode ~k ~n payload))] with [len] the
+    byte length of [payload].  The payload is read one block at a
+    time and each leaf is hashed as its fragment's symbols are
+    computed, so neither the [n] fragments nor the authentication
+    branches are allocated: a call allocates O([n] * [k]) words
+    whatever the payload's size.  Raises
+    [Invalid_argument] under the same conditions as {!encode}. *)

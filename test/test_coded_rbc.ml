@@ -112,6 +112,107 @@ let test_coded_crash_totality () =
   let delivered = coded_deliveries result [ node 0; node 2; node 3 ] in
   Alcotest.(check int) "totality" 3 (List.length delivered)
 
+(* ---- coded rbc: consistent but malformed dispersals ---- *)
+
+module Gf = Abc.Gf
+
+(* The data symbols a payload packs into, [Rs.symbol_bytes] big-endian
+   bytes each, zero-padded to whole blocks of [k]. *)
+let data_symbols ~k payload =
+  let len = String.length payload in
+  let count = (len + Rs.symbol_bytes - 1) / Rs.symbol_bytes in
+  Array.init
+    ((count + k - 1) / k * k)
+    (fun s ->
+      let v = ref 0 in
+      for pos = s * Rs.symbol_bytes to ((s + 1) * Rs.symbol_bytes) - 1 do
+        v := (!v lsl 8) lor (if pos < len then Char.code payload.[pos] else 0)
+      done;
+      Gf.of_int !v)
+
+(* A genuine codeword over arbitrary data symbols: fragment [i] holds,
+   for each block of [k] symbols, the value at x = i + 1 of the
+   polynomial through (1, s_1) .. (k, s_k), by Lagrange interpolation
+   written out here rather than taken from [Rs]. *)
+let codeword ~k ~n symbols =
+  let x = Gf.of_int in
+  let at xi b =
+    let acc = ref Gf.zero in
+    for j = 1 to k do
+      let w = ref Gf.one in
+      for m = 1 to k do
+        if m <> j then w := Gf.mul !w (Gf.div (Gf.sub (x xi) (x m)) (Gf.sub (x j) (x m)))
+      done;
+      acc := Gf.add !acc (Gf.mul !w symbols.((b * k) + j - 1))
+    done;
+    !acc
+  in
+  Array.init n (fun i ->
+      { Rs.index = i; data = Array.init (Array.length symbols / k) (at (i + 1)) })
+
+(* Node 0 replaces its honest dispersal by [fragments] under their own
+   Merkle root: every Val it sends carries the receiver's fragment of
+   that codeword with a valid branch, so every Merkle check passes. *)
+let run_forged_dispersal ~n ~f ~len ~seed fragments =
+  let root, branches = Rs.Merkle.commit ~len fragments in
+  let forge _rng = function
+    | Coded.Val { fragment; _ } ->
+      let i = fragment.Rs.index in
+      Coded.Val { root; len; branch = branches.(i); fragment = fragments.(i) }
+    | msg -> msg
+  in
+  run_coded ~n ~f ~len ~faulty:[ (node 0, Behaviour.Mutate forge) ]
+    ~adversary:Adversary.uniform ~seed ()
+
+let test_coded_malformed_dispersal_rejected () =
+  (* n = 7, f = 2, k = 3, 100 bytes: 34 data symbols in 12 blocks, so
+     symbols 34 and 35 are padding.  A codeword with a non-zero padding
+     symbol, or with a symbol >= 2^24, is consistent (any k fragments
+     interpolate the same polynomials) but is not the encoding of any
+     payload: decoding yields a 100-byte string that re-encodes to a
+     different root.  No honest node may deliver; a validation that
+     re-committed the interpolated symbols instead of the decoded
+     string would deliver. *)
+  let n = 7 and f = 2 and len = 100 in
+  let k = Abc.Quorum.honest_support ~n ~f in
+  let genuine = data_symbols ~k (payload_of_len len) in
+  Alcotest.(check int) "34 symbols padded to 36" 36 (Array.length genuine);
+  let with_symbol pos v =
+    let symbols = Array.copy genuine in
+    symbols.(pos) <- v;
+    symbols
+  in
+  let honest = List.tl (Node_id.all ~n) in
+  List.iter
+    (fun seed ->
+      (* Control: the same forging path on the genuine symbols is the
+         honest encoding, and everyone delivers it. *)
+      let control = run_forged_dispersal ~n ~f ~len ~seed (codeword ~k ~n genuine) in
+      Alcotest.(check (list string))
+        (Printf.sprintf "control delivers (seed %d)" seed)
+        (List.map (fun _ -> payload_of_len len) honest)
+        (coded_deliveries control honest);
+      List.iter
+        (fun (what, symbols) ->
+          let result = run_forged_dispersal ~n ~f ~len ~seed (codeword ~k ~n symbols) in
+          let metrics = result.CodedE.metrics in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: fragments verify, honest nodes echo (seed %d)" what seed)
+            true
+            (Abc_sim.Metrics.counter metrics "bytes.sent.echo" > 0);
+          Alcotest.(check (list string))
+            (Printf.sprintf "%s: no honest node delivers (seed %d)" what seed)
+            [] (coded_deliveries result honest);
+          Alcotest.(check int)
+            (Printf.sprintf "%s: nobody sends Ready (seed %d)" what seed)
+            0
+            (Abc_sim.Metrics.counter metrics "bytes.sent.ready"))
+        [
+          ("non-zero padding", with_symbol 35 Gf.one);
+          ("symbol >= 2^24", with_symbol 4 (Gf.add genuine.(4) (Gf.of_int (1 lsl 24))));
+        ])
+    [ 0; 1; 2; 3 ]
+
 (* ---- coded rbc: hand-computed byte accounting (E16's anchor) ---- *)
 
 let test_coded_byte_accounting_n4 () =
@@ -305,6 +406,8 @@ let () =
             test_coded_tampering_relay_harmless;
           Alcotest.test_case "crashing relay: totality" `Quick
             test_coded_crash_totality;
+          Alcotest.test_case "consistent malformed dispersal: nobody delivers" `Quick
+            test_coded_malformed_dispersal_rejected;
         ] );
       ( "bytes",
         [

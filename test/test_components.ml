@@ -350,6 +350,61 @@ let test_node_bitset () =
         (B.mem (B.singleton ~n (node (n - 1))) (node (n - 1)) && B.mem one (node (n - 1))))
     [ 4; 9; 64; 256 ]
 
+(* ---- Coded_rbc: deliveries after delivery ---- *)
+
+module Coded = Abc.Coded_rbc
+
+(* Node 1 of an n=4 dispersal by node 0, fed echoes from nodes 0-2 (an
+   echo quorum, which validates and sends Ready) and then readies from
+   nodes 0-2 (delivery on the third).  Returns the delivered state, the
+   context and the messages node 3 would send. *)
+let coded_delivered () =
+  let n = 4 and f = 1 and len = 40 in
+  let payload = String.init len (fun i -> Char.chr ((7 * i) land 0xFF)) in
+  let fragments = Abc.Rs.encode ~k:(Coded.data_shards ~n ~f) ~n payload in
+  let root, branches = Abc.Rs.Merkle.commit ~len fragments in
+  let echo i = Coded.Echo { root; len; branch = branches.(i); fragment = fragments.(i) } in
+  let ctx = Capture.context ~n ~f 1 in
+  let state, _ = Coded.initial ctx { Coded.sender = node 0; payload = None } in
+  let feed (state, _) (src, msg) =
+    let state, _, outputs = Coded.on_message ctx state ~src:(node src) msg in
+    (state, outputs)
+  in
+  let state, outputs =
+    List.fold_left feed (state, [])
+      [
+        (0, echo 0);
+        (1, echo 1);
+        (2, echo 2);
+        (0, Coded.Ready { root });
+        (1, Coded.Ready { root });
+        (2, Coded.Ready { root });
+      ]
+  in
+  Alcotest.(check (list string)) "delivered on the third ready" [ payload ]
+    (List.map (fun (Coded.Delivered p) -> p) outputs);
+  (state, ctx, echo 3, Coded.Ready { root })
+
+(* A protocol delivery that can fire no rule: the state comes back
+   physically, with no actions and no outputs. *)
+let check_no_effect what ~state (state', actions, outputs) =
+  Alcotest.(check bool) (what ^ ": same state") true (state' == state);
+  Alcotest.(check int) (what ^ ": no actions") 0 (List.length actions + List.length outputs)
+
+let test_coded_late_echo () =
+  let state, ctx, echo, _ = coded_delivered () in
+  check_no_effect "late echo" ~state (Coded.on_message ctx state ~src:(node 3) echo)
+
+let test_coded_late_ready () =
+  let ctx = Capture.context ~n:4 ~f:1 1 in
+  let fresh, _ = Coded.initial ctx { Coded.sender = node 0; payload = None } in
+  let ready = Coded.Ready { root = 1 } in
+  let once, _, _ = Coded.on_message ctx fresh ~src:(node 2) ready in
+  check_no_effect "duplicate ready" ~state:once (Coded.on_message ctx once ~src:(node 2) ready);
+  let state, ctx, _, ready = coded_delivered () in
+  check_no_effect "late ready" ~state (Coded.on_message ctx state ~src:(node 3) ready);
+  check_no_effect "repeated ready" ~state (Coded.on_message ctx state ~src:(node 0) ready)
+
 (* ---- Acs: one state machine over either dissemination layer ---- *)
 
 module Acs_int = Abc.Acs.Make (Abc.Payloads.Int_payload)
@@ -383,10 +438,6 @@ let coded =
     labels = [ "prop.val"; "prop.echo"; "prop.ready"; "ba.initial"; "ba.echo"; "ba.ready" ];
   }
 
-let check_no_effect what ~state (state', actions, outputs) =
-  Alcotest.(check bool) (what ^ ": same state") true (state' == state);
-  Alcotest.(check int) (what ^ ": no actions") 0 (List.length actions + List.length outputs)
-
 let test_acs_late_ba_wire (type p m) (i : (p, m) acs) () =
   let module A = (val i.acs) in
   let ctx = Capture.context ~n:4 ~f:1 0 in
@@ -414,11 +465,10 @@ module Captured (A : Abc.Acs.S) (P : sig val proposals : A.payload array end) = 
   include C
 end
 
-(* Re-delivers the last proposal echo a finished node received.  Bracha
-   RBC hands an unchanged instance back physically, so the whole ACS
-   state comes back too; coded RBC re-tallies every verified echo, so
-   there only the absence of actions and outputs is checked. *)
-let test_acs_late_prop_echo (type p m) (i : (p, m) acs) ~physical () =
+(* Re-delivers the last proposal echo a finished node received.  Both
+   dissemination layers hand an unchanged instance back physically once
+   it has delivered, so the whole ACS state comes back too. *)
+let test_acs_late_prop_echo (type p m) (i : (p, m) acs) () =
   let module A = (val i.acs) in
   let module C = Captured (A) (struct let proposals = i.proposals end) in
   let me, src, echo =
@@ -428,7 +478,7 @@ let test_acs_late_prop_echo (type p m) (i : (p, m) acs) ~physical () =
   let state', actions, outputs =
     A.on_message (Capture.context ~n:4 ~f:1 (Node_id.to_int me)) state ~src echo
   in
-  if physical then Alcotest.(check bool) "late prop echo: same state" true (state' == state);
+  Alcotest.(check bool) "late prop echo: same state" true (state' == state);
   Alcotest.(check int) "late prop echo: no actions" 0 (List.length actions + List.length outputs)
 
 (* Every proposer has its instance from the start; a proposal naming
@@ -535,16 +585,19 @@ let () =
           Alcotest.test_case "bitset sender dedup" `Quick test_rbc_bitset_dedup;
           Alcotest.test_case "node bitset" `Quick test_node_bitset;
         ] );
+      ( "coded_rbc",
+        [
+          Alcotest.test_case "late echo changes nothing" `Quick test_coded_late_echo;
+          Alcotest.test_case "late ready changes nothing" `Quick test_coded_late_ready;
+        ] );
       ( "acs",
         [
           Alcotest.test_case "late ba wire changes nothing: bracha" `Quick
             (test_acs_late_ba_wire bracha);
           Alcotest.test_case "late ba wire changes nothing: coded" `Quick
             (test_acs_late_ba_wire coded);
-          Alcotest.test_case "late prop echo: bracha" `Quick
-            (test_acs_late_prop_echo bracha ~physical:true);
-          Alcotest.test_case "late prop echo: coded" `Quick
-            (test_acs_late_prop_echo coded ~physical:false);
+          Alcotest.test_case "late prop echo: bracha" `Quick (test_acs_late_prop_echo bracha);
+          Alcotest.test_case "late prop echo: coded" `Quick (test_acs_late_prop_echo coded);
           Alcotest.test_case "forged origin dropped" `Quick test_acs_forged_origin;
         ] );
       ( "msg_label",

@@ -44,6 +44,31 @@ let test_exactly_n_minus_2f_fragments () =
         (Rs.decode ~k ~len:1000 subset))
     [ [ 0; 1; 2 ]; [ 4; 5; 6 ]; [ 0; 3; 6 ]; [ 1; 2; 5 ] ]
 
+let rec subsets size = function
+  | [] -> if size = 0 then [ [] ] else []
+  | x :: rest ->
+    if size = 0 then [ [] ]
+    else List.map (fun s -> x :: s) (subsets (size - 1) rest) @ subsets size rest
+
+let test_every_subset_large_payload () =
+  (* 64 KiB at n = 7, k = 3: 7,282 blocks.  The 35 three-subsets cover
+     every mix of data positions copied verbatim (their own fragment was
+     given) and interpolated (it was not), from all-systematic to
+     all-parity. *)
+  let n = 7 and k = 3 and len = 65536 in
+  let payload = payload_of_seed ~len 13 in
+  let fragments = Array.to_list (Rs.encode ~k ~n payload) in
+  let picks = subsets k (List.init n Fun.id) in
+  Alcotest.(check int) "C(7,3) subsets" 35 (List.length picks);
+  List.iter
+    (fun picks ->
+      let subset = List.filteri (fun i _ -> List.mem i picks) fragments in
+      Alcotest.(check bool)
+        (Printf.sprintf "subset %s" (String.concat "," (List.map string_of_int picks)))
+        true
+        (String.equal payload (Rs.decode ~k ~len (List.rev subset))))
+    picks
+
 let test_too_few_fragments_rejected () =
   let payload = payload_of_seed ~len:50 1 in
   let fragments = Array.to_list (Rs.encode ~k:3 ~n:7 payload) in
@@ -113,6 +138,20 @@ let test_merkle_branch_depth () =
         (Rs.Merkle.branch_wire_bytes branch))
     branches
 
+let test_commitment_small_shapes () =
+  (* Empty payloads, and every way the final symbol and block can be
+     partial at small k. *)
+  List.iter
+    (fun (n, k) ->
+      for len = 0 to 13 do
+        let payload = payload_of_seed ~len (n + len) in
+        Alcotest.(check int)
+          (Printf.sprintf "n=%d k=%d len=%d" n k len)
+          (fst (Rs.Merkle.commit ~len (Rs.encode ~k ~n payload)))
+          (Rs.commitment ~k ~n payload)
+      done)
+    [ (1, 1); (4, 2); (5, 3); (7, 3); (16, 6) ]
+
 (* ---- qcheck round-trips ---- *)
 
 let gen_shape =
@@ -153,6 +192,19 @@ let prop_commit_verify_roundtrip =
             branches.(fragment.Rs.index) fragment)
         fragments)
 
+let prop_commitment_matches_commit =
+  (* The root-only re-encode that coded RBC validation compares must be
+     the root the sender's full encode-and-commit publishes. *)
+  QCheck.Test.make ~name:"commitment = root of commit (encode)" ~count:200
+    (QCheck.make gen_shape ~print:(fun (n, f, len, seed) ->
+         Printf.sprintf "n=%d f=%d len=%d seed=%d" n f len seed))
+    (fun (n, f, len, seed) ->
+      let k = Quorum.honest_support ~n ~f in
+      let payload = payload_of_seed ~len seed in
+      Int.equal
+        (fst (Rs.Merkle.commit ~len (Rs.encode ~k ~n payload)))
+        (Rs.commitment ~k ~n payload))
+
 let prop_fragment_sizes =
   (* Each fragment carries ⌈symbols/k⌉ field elements: the payload
      splits k ways (the O(|m|/k) term of the bandwidth bound). *)
@@ -180,6 +232,8 @@ let () =
           Alcotest.test_case "too few fragments rejected" `Quick
             test_too_few_fragments_rejected;
           Alcotest.test_case "tiny payloads" `Quick test_empty_and_tiny_payloads;
+          Alcotest.test_case "every 3-subset of a 64 KiB encoding" `Quick
+            test_every_subset_large_payload;
         ] );
       ( "merkle",
         [
@@ -188,11 +242,14 @@ let () =
           Alcotest.test_case "tampered fragments rejected" `Quick
             test_merkle_rejects_tampered_fragment;
           Alcotest.test_case "branch depth" `Quick test_merkle_branch_depth;
+          Alcotest.test_case "commitment at small shapes" `Quick
+            test_commitment_small_shapes;
         ] );
       ( "properties",
         [
           QCheck_alcotest.to_alcotest prop_roundtrip_random_subset;
           QCheck_alcotest.to_alcotest prop_commit_verify_roundtrip;
+          QCheck_alcotest.to_alcotest prop_commitment_matches_commit;
           QCheck_alcotest.to_alcotest prop_fragment_sizes;
         ] );
     ]

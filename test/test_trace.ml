@@ -510,6 +510,37 @@ let rlog_summary () =
   | Error msg -> Alcotest.fail msg
   | Ok file -> Trace_report.summary file
 
+(* The same run the CI trace-smoke job performs through the binaries:
+   abc-run rbc --protocol coded -n 7 -f 2 --payload-bytes 65536 --seed 2
+   (sender 0, uniform adversary, abc-run's synthetic payload).  The
+   payload spans 7,282 blocks of k = 3 symbols, so this pins multi-block
+   coded dispersal — encode, Merkle checks, decode and the re-encode
+   validation — the way the atomic goldens pin the ACS above it; the
+   summary must match test/golden/coded_summary.txt byte for byte. *)
+let coded_summary () =
+  let module Coded = Abc.Coded_rbc in
+  let module E = Abc_net.Engine.Make (Coded) in
+  let n = 7 and f = 2 and seed = 2 in
+  let payload = String.init 65536 (fun i -> Char.chr ((seed + (131 * i)) land 0xFF)) in
+  let trace = Trace.create ~capacity:1_000_000 () in
+  let config =
+    E.config ~n ~f
+      ~inputs:(Coded.inputs ~n ~sender:(Node_id.of_int 0) payload)
+      ~adversary:Adversary.uniform ~seed ~trace ()
+  in
+  let _ = E.run config in
+  let meta =
+    [
+      ("protocol", Json.String "coded-rbc");
+      ("n", Json.Int n);
+      ("f", Json.Int f);
+      ("seed", Json.Int seed);
+    ]
+  in
+  match Trace_file.of_string (Trace.to_jsonl_string ~meta trace) with
+  | Error msg -> Alcotest.fail msg
+  | Ok file -> Trace_report.summary file
+
 let read_file path =
   let ic = open_in_bin path in
   Fun.protect
@@ -538,6 +569,10 @@ let test_rlog_golden_summary () =
   let golden = read_file "golden/rlog_summary.txt" in
   Alcotest.(check string) "replicated-log summary matches golden" golden
     (rlog_summary ())
+
+let test_coded_golden_summary () =
+  let golden = read_file "golden/coded_summary.txt" in
+  Alcotest.(check string) "coded-rbc summary matches golden" golden (coded_summary ())
 
 (* ---- suite ---- *)
 
@@ -578,6 +613,8 @@ let () =
             test_recovery_golden_summary;
           Alcotest.test_case "replicated-log summary matches golden" `Quick
             test_rlog_golden_summary;
+          Alcotest.test_case "coded-rbc summary matches golden" `Quick
+            test_coded_golden_summary;
           Alcotest.test_case "summary deterministic" `Quick
             test_summary_deterministic;
         ] );
